@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification pass: configure, build, run all tests (serial
-# and with parallel trial dispatch), run a ThreadSanitizer build of
-# the parallel harness tests, then run every bench binary.
+# and with parallel trial dispatch), run AddressSanitizer and
+# ThreadSanitizer builds of the engine and parallel harness tests,
+# then run every bench binary.
 # TW_SCALE_DIV can shrink the workloads for a quick smoke run
 # (e.g. TW_SCALE_DIV=2000 ./scripts/check.sh).
 set -e
@@ -21,11 +22,21 @@ TW_SAMPLE=0 TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
+# AddressSanitizer pass over the engine: the fast loop consumes the
+# prefetch buffers by pointer and rewinds the fetch pointer when a
+# data ref faults or is delivered mid-chunk, and the integration
+# suite (FastPath included), the OS model and the simulator core
+# drive every such path.
+cmake -B build-asan -G Ninja -DTW_SANITIZE=address
+cmake --build build-asan --target test_integration test_os test_core
+./build-asan/tests/test_integration
+./build-asan/tests/test_os
+./build-asan/tests/test_core
+
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which
 # TSan dislikes; the parallel/threading suites are what matter here.
-# The fast-path equivalence suite rides along: it toggles the
-# process environment around System construction, and its buffered
+# The fast-path equivalence suite rides along: its buffered
 # streams/filters must stay data-race-free under parallel trials.
 cmake -B build-tsan -G Ninja -DTW_SANITIZE=thread
 cmake --build build-tsan --target test_harness test_base \

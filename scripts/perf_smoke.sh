@@ -3,14 +3,15 @@
 #
 # Runs the instrumented large-cache fig2 row (1M icache, miss ratio
 # well under 1%) with TW_FIG2_DCACHE=1, so ONE run measures BOTH
-# engines on their hit-dominated configurations:
+# instantiations of the span loop on their hit-dominated
+# configurations:
 #
-#   tw_refs_per_sec  — the probe-free chunked inner loop (I-cache:
-#                      no deliverable data kinds, bulk accounting,
-#                      SIMD same-page span consumption);
-#   twd_refs_per_sec — the filtered per-reference loop (unified
-#                      cache: loads/stores delivered, SIMD page-span
-#                      trap probes).
+#   tw_refs_per_sec  — the fetch-only one (I-cache: no deliverable
+#                      data kinds, bulk accounting, SIMD same-page
+#                      span consumption);
+#   twd_refs_per_sec — the data-delivering one (unified cache:
+#                      loads/stores delivered, refs on trapped pages
+#                      probed singly, SIMD page-span trap probes).
 #
 # Each rate must be at least MIN_PCT percent of its checked-in floor
 # (scripts/perf_baseline.json). A regression that loses either fast

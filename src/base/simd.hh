@@ -6,11 +6,11 @@
  *
  *  - anyBitsInWords(): is any bit set in an inclusive word range of
  *    a granule bitmap? This is the page-span trap probe — the
- *    all-zero test that lets a filtered loop skip the per-reference
+ *    all-zero test that lets the inner loop skip the per-reference
  *    probe (and the physical address that feeds it) on clear pages.
  *  - samePageSpan(): how many leading addresses of a prefetch
  *    buffer fall on one page? This bounds the probe-free chunk the
- *    chunked inner loop consumes with bulk accounting.
+ *    inner loop consumes with bulk accounting.
  *
  * Both have three implementations — AVX-512 (vptestnm-style 64-byte
  * blocks), AVX2 (vptest-style 32-byte blocks), and a portable

@@ -56,9 +56,10 @@ enum class MissKind
  * One handled miss, as the simulator saw it. Geometry fields feed
  * the instruction-level handler model; pa and now feed timing
  * models. now is the simulator's best-known committed cycle count
- * (0 when no clock is bound) — fast engine paths charge base CPI in
- * bulk, so it may trail the exact instruction position, but it is
- * monotone and identical across thread counts for a given spec.
+ * (0 when no clock is bound) — the fast engine charges base CPI in
+ * bulk, so it may trail the exact instruction position (see
+ * SimClient::bindClock), but it is monotone and identical across
+ * thread counts for a given spec.
  */
 struct MissEvent
 {

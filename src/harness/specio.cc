@@ -413,6 +413,10 @@ workloadFromJson(const Json &j, WorkloadSpec &out, std::string &err)
     sub("xData", out.xData);
     f.dbl("dataRefsPer1k", out.dataRefsPer1k);
     f.uns("storeEvery", out.storeEvery);
+    // Every storeEvery-th data ref is a store: zero would divide by
+    // zero in the engine.
+    if (out.storeEvery == 0)
+        f.fail("WorkloadSpec: 'storeEvery' must be >= 1");
     f.dbl("syscallsPer1k", out.syscallsPer1k);
     f.dbl("bsdProb", out.bsdProb);
     f.dbl("xProb", out.xProb);
@@ -456,6 +460,9 @@ sysFromJson(const Json &j, SystemConfig &out, std::string &err)
     f.bln("clockJitter", out.clockJitter);
     f.u64("tickHandlerInstr", out.tickHandlerInstr);
     f.u64("quantumInstr", out.quantumInstr);
+    // A zero quantum runs no instruction, so the run never ends.
+    if (out.quantumInstr == 0)
+        f.fail("SystemConfig: 'quantumInstr' must be >= 1");
     f.uns("dmaFlushPeriod", out.dmaFlushPeriod);
     f.u64("forkKernelInstr", out.forkKernelInstr);
     f.u64("faultKernelCycles", out.faultKernelCycles);

@@ -134,11 +134,14 @@ class SimClient
      * Give the client a read-only view of the machine's committed
      * cycle counter (called once, when the client is attached).
      * Time-dependent cost backends read it to order misses in
-     * simulated time. The pointer stays valid for the run; the
-     * value is monotone, but fast engine paths charge base CPI in
-     * bulk at span boundaries, so between spans it may trail the
-     * exact instruction position (only the observed slow path keeps
-     * it exact). Clients that don't care keep the no-op default.
+     * simulated time. The pointer stays valid for the run and the
+     * value is monotone. The fast engine charges base CPI in bulk —
+     * for a filtered client when a batch of steps ends (at the
+     * horizon, or after the first step that charges cycles), and
+     * for the clock handler when it returns — so at a call the value
+     * may trail the exact instruction position; the oracle engine
+     * keeps it exact everywhere. Clients that don't care keep the
+     * no-op default.
      */
     virtual void bindClock(const Cycles *now) { (void)now; }
 

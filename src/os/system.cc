@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "base/logging.hh"
 #include "base/simd.hh"
@@ -35,12 +33,10 @@ System::System(const SystemConfig &config, const WorkloadSpec &spec)
                  : 0)
 {
     TW_ASSERT(!spec_.binaries.empty(), "workload has no binaries");
-    // Escape hatch: TW_SLOW_PATH selects the legacy per-step
-    // execution path (the equivalence suite and before/after
-    // measurements run both paths from one binary).
-    const char *slow = std::getenv("TW_SLOW_PATH");
-    slowPath_ = slow != nullptr && *slow != '\0'
-                && std::strcmp(slow, "0") != 0;
+    // Both would stall the engine: the store split divides by
+    // storeEvery, and a zero quantum runs no step at all.
+    TW_ASSERT(spec_.storeEvery >= 1, "storeEvery must be >= 1");
+    TW_ASSERT(cfg_.quantumInstr >= 1, "quantumInstr must be >= 1");
     boot();
 }
 
@@ -319,6 +315,19 @@ pageSpanTrapped(const std::uint64_t *bits, unsigned shift,
 } // namespace
 
 Counter
+System::runBatch(Task &task, Counter h)
+{
+    if (h == 0)
+        return 0;
+    // A client without a trap filter must observe every reference.
+    if (client_ && !hasFilter_)
+        return runObserved(task, h);
+    return dataTraps_ ? runInner<true>(task, h)
+                      : runInner<false>(task, h);
+}
+
+template <bool kDataTraps>
+Counter
 System::runInner(Task &task, Counter h)
 {
     // The event horizon: the caller guarantees no tick, syscall,
@@ -335,40 +344,32 @@ System::runInner(Task &task, Counter h)
     // only grow, and unmap paths flush between slices), so keeping
     // them in registers is invisible; only the hot path's cost
     // changes.
-    if (h == 0)
-        return 0;
-    // A client without a trap filter must observe every reference;
-    // take the generic loop with its per-ref virtual call.
-    if (client_ && !hasFilter_)
-        return runInnerObserved(task, h);
-    // A filter that can deliver data references (Load or Store in
-    // the kind mask) pins the fetch/data interleave: take the
-    // per-step filtered loop.
-    if (hasFilter_
-        && (filter_.wants(AccessKind::Load)
-            || filter_.wants(AccessKind::Store)))
-        return runInnerFiltered(task, h);
-
-    // Chunked specialization: data references can never be
-    // delivered here (no Load/Store in the kind mask — e.g. an
-    // icache Tapeworm — or no client at all). A fetch on a mapped,
-    // probe-free page then has NO observable side effect, so whole
-    // same-page spans of the prefetch buffer are consumed with one
-    // compare per address and accounted in bulk; per-step credit
-    // arithmetic collapses to one multiply per chunk. Data refs
-    // drain in their exact order at chunk end. The one observable
-    // mid-chunk event is a data-side page FAULT (it arms pages and
-    // may charge cycles): when one lands, the fetch position simply
-    // rewinds to the fault's owning step — the over-consumed
-    // fetches were probe-free, so there is nothing to undo but the
-    // pointer — and the loop resumes (or stops) exactly where the
-    // per-step path would.
+    //
+    // A fetch or data ref on a mapped page without trap bits has NO
+    // observable side effect, so whole same-page spans of the
+    // prefetch buffers are consumed with one compare per address and
+    // accounted in bulk; per-step credit arithmetic collapses to one
+    // multiply per chunk. Fetches run ahead in a chunk, and the
+    // chunk's data refs drain in their exact order at chunk end.
+    // Refs on trapped pages are tested one at a time. kDataTraps
+    // says the filter can deliver data refs (Load or Store in its
+    // kind mask); without it — an icache Tapeworm, or no client at
+    // all — data refs are never probed. A data ref that does
+    // something observable mid-chunk (a page FAULT arms pages and
+    // may charge cycles; a delivery runs the handler) must not see
+    // the chunk's later fetches as done: the fetch position rewinds
+    // to the ref's owning step — the over-consumed fetches were
+    // probe-free, so there is nothing to undo but the pointer — that
+    // step's remaining data refs finish exactly, and the loop
+    // resumes (or stops) where the per-step path would.
     SimClient *const cl = client_;
     const unsigned fshift = filter_.shift;
     const std::uint64_t *const fetch_bits =
         (hasFilter_ && filter_.wants(AccessKind::Fetch))
             ? filter_.bits
             : nullptr;
+    const std::uint64_t *const data_bits =
+        kDataTraps ? filter_.bits : nullptr;
     const Addr off = kHostPageBytes - 1;
     const bool masked = intrMasked_;
 
@@ -387,12 +388,13 @@ System::runInner(Task &task, Counter h)
     const Addr vaBase = task.pageTable.vaBase();
     const Pfn *const frames = task.pageTable.framesData();
     Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr;
+    Addr dvaPage = kInvalidAddr, dpaBase = 0;
     bool fprobe = false;
+    // The cached data page carries trap bits: its refs are tested
+    // singly. Never set without data traps.
+    bool dprobe = false;
     Counter credit = task.dataRefCredit;
-    // No store phase here: data kinds can never be delivered in
-    // this loop, and the load/store split is derived from
-    // dataRefCount whenever a per-step path needs it next.
+    const Counter data_refs0 = task.dataRefCount;
 
     Counter data_refs = 0;
     Counter probed = 0;
@@ -401,6 +403,56 @@ System::runInner(Task &task, Counter h)
     // An event that charges cycles makes its step the last of this
     // call (legacy `extra` semantics).
     bool stop_after = false;
+
+    // One data ref in exact per-step order: its translation, then —
+    // with data traps — its probe and delivery. @p nth is its 1-based
+    // position in the task's data stream (which picks load or
+    // store). Returns whether it did anything observable.
+    auto dataRef = [&](Addr dva, Counter nth) {
+        bool observable = false;
+        Addr dpage = dva & ~off;
+        if (dpage != dvaPage) {
+            Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
+            if (pfn >= 0) {
+                dpaBase = static_cast<Addr>(pfn) * kHostPageBytes;
+            } else {
+                Cycles c0 = cycles_;
+                dpaBase = translate(task, dva) & ~off;
+                if (cycles_ != c0)
+                    stop_after = true;
+                observable = true;
+            }
+            dvaPage = dpage;
+            if constexpr (kDataTraps) {
+                ++span_ops;
+                dprobe = pageSpanTrapped(data_bits, fshift, dpaBase);
+            }
+        }
+        if constexpr (kDataTraps) {
+            if (dprobe) {
+                ++probed;
+                Addr dpa = dpaBase + (dva & off);
+                std::uint64_t g = dpa >> fshift;
+                if ((data_bits[g >> 6] >> (g & 63)) & 1) {
+                    AccessKind kind = nth % spec_.storeEvery == 0
+                                          ? AccessKind::Store
+                                          : AccessKind::Load;
+                    if (filter_.wants(kind)) {
+                        Cycles r =
+                            cl->onRef(task, dva, dpa, masked, kind);
+                        cycles_ += r;
+                        if (r != 0)
+                            stop_after = true;
+                        // The handler may have moved traps anywhere.
+                        ivaPage = kInvalidAddr;
+                        dvaPage = kInvalidAddr;
+                        observable = true;
+                    }
+                }
+            }
+        }
+        return observable;
+    };
 
     for (;;) {
         if (fp == fend) [[unlikely]] {
@@ -458,7 +510,7 @@ System::runInner(Task &task, Counter h)
             // chunk instead of page steps. An unmapped or trapped
             // page ends the merge: its fault/probe must happen in
             // exact legacy order, which the top of the loop
-            // provides. (A data fault mid-drain still rewinds to its
+            // provides. (A mid-drain data event still rewinds to its
             // owning step and invalidates the page cache, so merged
             // spans undo just like single-page ones.) A pending
             // fetch-fault charge limits the chunk to its own step.
@@ -497,13 +549,11 @@ System::runInner(Task &task, Counter h)
         credit += n * dpm;
         if (credit >= 1000) [[unlikely]] {
             // Drain the owed data refs in same-page spans: a ref on
-            // the cached (mapped) data page has no observable side
-            // effect here — data kinds are never deliverable — so a
-            // whole run of them is one wide scan plus pointer math.
-            // Only page transitions are handled singly, and only an
-            // unmapped one (a FAULT: arming, cycles) rewinds the
-            // fetch pointer to its owning step, exactly like the
-            // per-ref drain did.
+            // the cached page, mapped and without trap bits, has no
+            // observable side effect, so a whole run of them is one
+            // wide scan plus pointer math. Page transitions and refs
+            // on trapped pages are handled singly, and only one that
+            // does something observable rewinds the fetch pointer.
             Counter pending = credit / 1000;
             credit -= pending * 1000;
             Counter drained = 0;
@@ -513,12 +563,11 @@ System::runInner(Task &task, Counter h)
                     dp = dstart;
                     dend = dstart + db.len;
                 }
-                Counter avail = pending - drained;
-                if (avail > static_cast<Counter>(dend - dp))
-                    avail = static_cast<Counter>(dend - dp);
                 Addr dva = *dp;
-                Addr dpage = dva & ~off;
-                if (dpage == dvaPage) [[likely]] {
+                if ((dva & ~off) == dvaPage && !dprobe) [[likely]] {
+                    Counter avail = pending - drained;
+                    if (avail > static_cast<Counter>(dend - dp))
+                        avail = static_cast<Counter>(dend - dp);
                     ++span_ops;
                     Counter k = 1
                                 + static_cast<Counter>(
@@ -529,48 +578,28 @@ System::runInner(Task &task, Counter h)
                     drained += k;
                     continue;
                 }
-                Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
-                if (pfn >= 0) [[likely]] {
-                    // Mapped page transition: adopt it; the next
-                    // iteration consumes the ref inside a span.
-                    dvaPage = dpage;
-                    continue;
-                }
-                // The fault is observable (arming, cycles), so the
-                // steps bulk-executed past its owner must not have
-                // happened yet. Rewind the fetch pointer to the
-                // owning step s, finish that step's remaining data
-                // refs, and re-enter with fresh probe state.
-                Cycles c0 = cycles_;
-                translate(task, dva);
-                if (cycles_ != c0)
-                    stop_after = true;
-                dvaPage = dpage;
+                // A page transition (a fault if unmapped), or a ref
+                // on a trapped page.
                 ++dp;
                 ++drained;
+                if (!dataRef(dva, data_refs0 + data_refs + drained))
+                    continue;
+                // The event is observable, so the steps bulk-executed
+                // past its owner must not have happened yet. Rewind
+                // the fetch pointer to the owning step s, finish that
+                // step's remaining data refs, and re-enter with fresh
+                // probe state.
                 Counter s = (drained * 1000 - credit0 + dpm - 1)
                             / dpm;
                 Counter total = (credit0 + s * dpm) / 1000;
                 while (drained < total) {
-                    ++drained;
                     if (dp == dend) [[unlikely]] {
                         db.fill(*dstream);
                         dp = dstart;
                         dend = dstart + db.len;
                     }
-                    Addr xva = *dp++;
-                    Addr xpage = xva & ~off;
-                    if (xpage != dvaPage) {
-                        Pfn xp = frames[(xpage - vaBase)
-                                        / kHostPageBytes];
-                        if (xp < 0) {
-                            Cycles cc = cycles_;
-                            translate(task, xva);
-                            if (cycles_ != cc)
-                                stop_after = true;
-                        }
-                        dvaPage = xpage;
-                    }
+                    ++drained;
+                    dataRef(*dp++, data_refs0 + data_refs + drained);
                 }
                 fp = fp0 + s;
                 credit = credit0 + s * dpm - total * 1000;
@@ -595,7 +624,8 @@ System::runInner(Task &task, Counter h)
     cycles_ += done * cfg_.cpiBase;
     result_.instr[static_cast<unsigned>(task.component)] += done;
     task.executed += done;
-    obsRefsChunked_ += done + data_refs;
+    (kDataTraps ? obsRefsFiltered_ : obsRefsChunked_) +=
+        done + data_refs;
     obsProbeHits_ += probed;
     obsProbeSkips_ += done + data_refs - probed;
     (simdWide_ ? obsSimdWide_ : obsSimdScalar_) += span_ops;
@@ -603,335 +633,24 @@ System::runInner(Task &task, Counter h)
 }
 
 Counter
-System::runInnerFiltered(Task &task, Counter h)
+System::runObserved(Task &task, Counter h)
 {
-    // Filtered per-step specialization. Beyond the generic
-    // loop's deferred counters, this one caches per L0 page whether
-    // ANY trap bit covers the page: trap bits can only change inside
-    // a client call or a page-fault, both of which invalidate the L0
-    // entries here, so between those events a clear page lets a ref
-    // skip the probe — and the physical address that feeds it —
-    // entirely. A steady-state hit is then a buffer load, a page
-    // compare and loop arithmetic: the software equivalent of the
-    // paper's hits-run-at-hardware-speed property.
-    SimClient *const cl = client_;
-    const unsigned fshift = filter_.shift;
-    const std::uint64_t *const fetch_bits =
-        (hasFilter_ && filter_.wants(AccessKind::Fetch))
-            ? filter_.bits
-            : nullptr;
-    const bool want_load = filter_.wants(AccessKind::Load);
-    const bool want_store = filter_.wants(AccessKind::Store);
-    const std::uint64_t *const data_bits =
-        (hasFilter_ && (want_load || want_store)) ? filter_.bits
-                                                  : nullptr;
-    const Addr off = kHostPageBytes - 1;
-    const bool masked = intrMasked_;
-
-    StreamBuf &fb = task.fetchBuf;
-    StreamBuf &db = task.dataBuf;
-    RefStream *const dstream = task.dataStream.get();
-    // dpm == 0 keeps the credit below the data-ref threshold, so a
-    // task without a data stream never reaches the drain loop and
-    // the per-iteration stream test disappears.
-    const Counter dpm = dstream ? dataPerMille_ : 0;
-    // Buffers walk by pointer: one compare doubles as both the
-    // bounds check and the refill trigger. Executed-step count is
-    // reconstructed from the pointer travel, so the steady-state
-    // iteration carries no counter but the countdown itself.
-    Addr *const fstart = fb.buf.data();
-    const Addr *fp = fstart + fb.pos;
-    const Addr *fend = fstart + fb.len;
-    Addr *const dstart = db.buf.data();
-    const Addr *dp = dstart + db.pos;
-    const Addr *dend = dstart + db.len;
-    const unsigned fpos0 = fb.pos;
-    Counter consumed_base = 0;
-    // Translation inlines the dense page-table walk: base pointer
-    // and window base are loop-invariant (the frame array never
-    // reallocates), and a last-page L0 in locals skips even the
-    // table load on sequential runs.
-    const Addr vaBase = task.pageTable.vaBase();
-    const Pfn *const frames = task.pageTable.framesData();
-    Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr, dpaBase = 0;
-    bool fprobe = false, dprobe = false;
-    Counter credit = task.dataRefCredit;
-    const unsigned store_every = dstream ? spec_.storeEvery : 1;
-    unsigned store_phase =
-        dstream ? static_cast<unsigned>(task.dataRefCount
-                                        % store_every)
-                : 0;
-
-    Counter data_refs = 0;
-    Counter probed = 0;
-    Counter span_ops = 0;
-    // Countdown to the horizon. A step that charges extra cycles
-    // must be the last one of this call (legacy `extra` semantics);
-    // every such site simply forces `left = 1` so the shared
-    // decrement at the bottom exits after the step completes —
-    // keeping a rare-event flag out of the per-step exit test.
-    Counter left = h;
-
-    for (;;) {
-        if (fp == fend) [[unlikely]] {
-            consumed_base += static_cast<Counter>(fp - fstart);
-            fb.fill(*task.stream);
-            fp = fstart;
-            fend = fstart + fb.len;
-        }
-        Addr va = *fp++;
-        Addr page = va & ~off;
-        if (page != ivaPage) [[unlikely]] {
-            Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                ipaBase = static_cast<Addr>(pfn) * kHostPageBytes;
-            } else {
-                Cycles c0 = cycles_;
-                ipaBase = translate(task, va) & ~off;
-                if (cycles_ != c0)
-                    left = 1;
-                // The fault armed freshly mapped pages.
-                dvaPage = kInvalidAddr;
-            }
-            ivaPage = page;
-            span_ops += fetch_bits != nullptr;
-            fprobe = fetch_bits
-                     && pageSpanTrapped(fetch_bits, fshift, ipaBase);
-        }
-        if (fprobe) [[unlikely]] {
-            ++probed;
-            Addr pa = ipaBase + (va & off);
-            std::uint64_t g = pa >> fshift;
-            if ((fetch_bits[g >> 6] >> (g & 63)) & 1) [[unlikely]] {
-                Cycles r = cl->onRef(task, va, pa, masked,
-                                     AccessKind::Fetch);
-                cycles_ += r;
-                if (r != 0)
-                    left = 1;
-                // The handler may have moved traps anywhere.
-                ivaPage = kInvalidAddr;
-                dvaPage = kInvalidAddr;
-            }
-        }
-        credit += dpm;
-        while (credit >= 1000) [[unlikely]] {
-            credit -= 1000;
-            if (dp == dend) [[unlikely]] {
-                db.fill(*dstream);
-                dp = dstart;
-                dend = dstart + db.len;
-            }
-            Addr dva = *dp++;
-            Addr dpage = dva & ~off;
-            if (dpage != dvaPage) [[unlikely]] {
-                Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
-                if (pfn >= 0) [[likely]] {
-                    dpaBase = static_cast<Addr>(pfn)
-                              * kHostPageBytes;
-                } else {
-                    Cycles c0 = cycles_;
-                    dpaBase = translate(task, dva) & ~off;
-                    if (cycles_ != c0)
-                        left = 1;
-                    ivaPage = kInvalidAddr;
-                }
-                dvaPage = dpage;
-                span_ops += data_bits != nullptr;
-                dprobe = data_bits
-                         && pageSpanTrapped(data_bits, fshift,
-                                            dpaBase);
-            }
-            if (++store_phase == store_every)
-                store_phase = 0;
-            ++data_refs;
-            if (dprobe) [[unlikely]] {
-                ++probed;
-                bool want = store_phase == 0 ? want_store
-                                             : want_load;
-                Addr dpa = dpaBase + (dva & off);
-                std::uint64_t g = dpa >> fshift;
-                if (want
-                    && ((data_bits[g >> 6] >> (g & 63)) & 1))
-                    [[unlikely]] {
-                    AccessKind kind = store_phase == 0
-                                          ? AccessKind::Store
-                                          : AccessKind::Load;
-                    Cycles r = cl->onRef(task, dva, dpa, masked,
-                                         kind);
-                    cycles_ += r;
-                    if (r != 0)
-                        left = 1;
-                    ivaPage = kInvalidAddr;
-                    dvaPage = kInvalidAddr;
-                }
-            }
-        }
-        if (--left == 0)
-            break;
-    }
-
-    const Counter done = consumed_base
-                         + static_cast<Counter>(fp - fstart) - fpos0;
-    fb.pos = static_cast<unsigned>(fp - fstart);
-    db.pos = static_cast<unsigned>(dp - dstart);
-    task.dataRefCredit = credit;
-    task.dataRefCount += data_refs;
-    result_.dataRefs += data_refs;
-    cycles_ += done * cfg_.cpiBase;
-    result_.instr[static_cast<unsigned>(task.component)] += done;
-    task.executed += done;
-    obsRefsFiltered_ += done + data_refs;
-    obsProbeHits_ += probed;
-    obsProbeSkips_ += done + data_refs - probed;
-    (simdWide_ ? obsSimdWide_ : obsSimdScalar_) += span_ops;
-    return done;
-}
-
-Counter
-System::runInnerObserved(Task &task, Counter h)
-{
-    // Generic event-horizon loop for clients that must see every
-    // reference (no trap filter). Unlike the filtered loops, an
-    // unfiltered client may legitimately read the machine state its
-    // callback can reach — System::now() (the write-buffer model
-    // does exactly that) or the task's public counters — so the
-    // architectural state is kept exact at every call, in legacy
-    // step() order: translate, charge cpiBase, bump the counters,
-    // then the call. Only fast-path-internal state (buffer
-    // positions, the per-slice instruction count) stays in locals.
-    SimClient *const cl = client_;
-    const std::uint64_t *const fbits = hasFilter_ ? filter_.bits
-                                                  : nullptr;
-    const unsigned fshift = filter_.shift;
-    const bool want_fetch = filter_.wants(AccessKind::Fetch);
-    const bool want_load = filter_.wants(AccessKind::Load);
-    const bool want_store = filter_.wants(AccessKind::Store);
-    const Addr off = kHostPageBytes - 1;
-    const Counter dpm = dataPerMille_;
-    const bool masked = intrMasked_;
-    const Cycles cpi = cfg_.cpiBase;
-
-    StreamBuf &fb = task.fetchBuf;
-    StreamBuf &db = task.dataBuf;
-    RefStream *const dstream = task.dataStream.get();
-    unsigned fpos = fb.pos, flen = fb.len;
-    unsigned dpos = db.pos, dlen = db.len;
-    const Addr vaBase = task.pageTable.vaBase();
-    const Pfn *const frames = task.pageTable.framesData();
-    Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr, dpaBase = 0;
-    const unsigned store_every = spec_.storeEvery;
-
+    // Clients without a trap filter see every reference and may
+    // read whatever machine state their callback can reach —
+    // System::now() (the write-buffer model does exactly that) or
+    // the task's public counters. stepFast keeps that state exact at
+    // every call, so this loop is just steps up to the horizon, the
+    // last being any step that charged more than its base CPI.
+    const Counter data_refs0 = result_.dataRefs;
     Counter done = 0;
-    bool extra = false;
-    const Counter dataRefs0 = result_.dataRefs;
-
     for (;;) {
-        if (fpos == flen) [[unlikely]] {
-            fb.fill(*task.stream);
-            fpos = 0;
-            flen = fb.len;
-        }
-        Addr va = fb.buf[fpos++];
-        Addr page = va & ~off;
-        Addr pa;
-        if (page == ivaPage) [[likely]] {
-            pa = ipaBase + (va & off);
-        } else {
-            Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                pa = static_cast<Addr>(pfn) * kHostPageBytes
-                     + (va & off);
-            } else {
-                Cycles c0 = cycles_;
-                pa = translate(task, va);
-                extra |= cycles_ != c0;
-            }
-            ivaPage = page;
-            ipaBase = pa & ~off;
-        }
-        cycles_ += cpi;
+        const Cycles c0 = cycles_;
+        stepFast(task);
         ++done;
-        ++task.executed;
-        if (fbits) {
-            std::uint64_t g = pa >> fshift;
-            if (want_fetch
-                && ((fbits[g >> 6] >> (g & 63)) & 1)) [[unlikely]] {
-                Cycles r = cl->onRef(task, va, pa, masked,
-                                     AccessKind::Fetch);
-                cycles_ += r;
-                extra |= r != 0;
-            }
-        } else if (cl) {
-            Cycles r = cl->onRef(task, va, pa, masked,
-                                 AccessKind::Fetch);
-            cycles_ += r;
-            extra |= r != 0;
-        }
-        if (dstream) [[likely]] {
-            task.dataRefCredit += dpm;
-            while (task.dataRefCredit >= 1000) [[unlikely]] {
-                task.dataRefCredit -= 1000;
-                if (dpos == dlen) [[unlikely]] {
-                    db.fill(*dstream);
-                    dpos = 0;
-                    dlen = db.len;
-                }
-                Addr dva = db.buf[dpos++];
-                Addr dpage = dva & ~off;
-                Addr dpa;
-                if (dpage == dvaPage) [[likely]] {
-                    dpa = dpaBase + (dva & off);
-                } else {
-                    Pfn pfn =
-                        frames[(dpage - vaBase) / kHostPageBytes];
-                    if (pfn >= 0) [[likely]] {
-                        dpa = static_cast<Addr>(pfn)
-                                  * kHostPageBytes
-                              + (dva & off);
-                    } else {
-                        Cycles c0 = cycles_;
-                        dpa = translate(task, dva);
-                        extra |= cycles_ != c0;
-                    }
-                    dvaPage = dpage;
-                    dpaBase = dpa & ~off;
-                }
-                ++task.dataRefCount;
-                ++result_.dataRefs;
-                AccessKind kind =
-                    task.dataRefCount % store_every == 0
-                        ? AccessKind::Store
-                        : AccessKind::Load;
-                if (fbits) {
-                    bool want = kind == AccessKind::Store
-                                    ? want_store
-                                    : want_load;
-                    std::uint64_t g = dpa >> fshift;
-                    if (want && ((fbits[g >> 6] >> (g & 63)) & 1))
-                        [[unlikely]] {
-                        Cycles r = cl->onRef(task, dva, dpa,
-                                             masked, kind);
-                        cycles_ += r;
-                        extra |= r != 0;
-                    }
-                } else if (cl) {
-                    Cycles r = cl->onRef(task, dva, dpa, masked,
-                                         kind);
-                    cycles_ += r;
-                    extra |= r != 0;
-                }
-            }
-        }
-        if (extra || done == h)
+        if (cycles_ - c0 != cfg_.cpiBase || done == h)
             break;
     }
-
-    fb.pos = fpos;
-    db.pos = dpos;
-    result_.instr[static_cast<unsigned>(task.component)] += done;
-    obsRefsObserved_ += done + (result_.dataRefs - dataRefs0);
+    obsRefsObserved_ += done + (result_.dataRefs - data_refs0);
     return done;
 }
 
@@ -950,7 +669,7 @@ System::clockHorizon() const
 void
 System::runBurst(Task &task, Counter len, Counter masked_prefix)
 {
-    if (slowPath_)
+    if (cfg_.oracleEngine)
         runBurstSlow(task, len, masked_prefix);
     else
         runBurstFast(task, len, masked_prefix);
@@ -975,10 +694,10 @@ System::runBurstFast(Task &task, Counter len, Counter masked_prefix)
     bool outer_masked = intrMasked_;
     if (outer_masked) {
         // The whole burst runs masked; the legacy loop never checks
-        // the clock here, so neither do we — runInner's early-out on
+        // the clock here, so neither do we — runBatch's early-out on
         // extra cycles just means looping until the burst is done.
         for (Counter i = 0; i < len;)
-            i += runInner(task, len - i);
+            i += runBatch(task, len - i);
         return;
     }
 
@@ -986,7 +705,7 @@ System::runBurstFast(Task &task, Counter len, Counter masked_prefix)
     Counter prefix = std::min(len, masked_prefix);
     intrMasked_ = true;
     for (Counter i = 0; i < prefix;)
-        i += runInner(task, prefix - i);
+        i += runBatch(task, prefix - i);
     intrMasked_ = false;
 
     // Unmasked remainder: batch to the tick horizon, exactly like
@@ -1001,7 +720,7 @@ System::runBurstFast(Task &task, Counter len, Counter masked_prefix)
                 clockTick();
             continue;
         }
-        i += runInner(task, h);
+        i += runBatch(task, h);
         if (clock_.due(cycles_))
             clockTick();
     }
@@ -1041,7 +760,7 @@ System::clockTick()
     // bias of Section 4.2).
     intrMasked_ = true;
     Addr base = spec_.kernelText.base;
-    if (slowPath_) {
+    if (cfg_.oracleEngine) {
         for (Counter i = 0; i < cfg_.tickHandlerInstr; ++i) {
             Addr va = base + handlerPos_;
             handlerPos_ = (handlerPos_ + kWordBytes) % kHandlerBytes;
@@ -1096,7 +815,7 @@ System::clockTick()
 void
 System::runSlice(Task &task)
 {
-    if (slowPath_)
+    if (cfg_.oracleEngine)
         runSliceSlow(task);
     else
         runSliceFast(task);
@@ -1140,7 +859,7 @@ System::runSliceFast(Task &task)
                 clockTick();
             continue;
         }
-        Counter done = runInner(task, h);
+        Counter done = runBatch(task, h);
         quantum -= done;
         task.nextSyscallIn -= done;
         if (clock_.due(cycles_))
@@ -1159,9 +878,12 @@ System::run()
     // change as traps are set and cleared. The SIMD dispatch level
     // is pinned per run too, so the wide/scalar span tallies stay
     // coherent even if a test flips simd::setEnabled mid-process.
-    if (client_ && !slowPath_) {
+    if (client_ && !cfg_.oracleEngine) {
         filter_ = client_->trapFilter();
         hasFilter_ = filter_.bits != nullptr;
+        dataTraps_ = hasFilter_
+                     && (filter_.wants(AccessKind::Load)
+                         || filter_.wants(AccessKind::Store));
     }
     simdWide_ = simd::wide();
 

@@ -89,6 +89,13 @@ struct SystemConfig
     std::uint64_t trialSeed = 1;
 
     SimScope scope;
+
+    /** Run the legacy per-step engine, the oracle the fast path is
+     *  tested against. Results are identical either way, except
+     *  under the dram cost backend (see SimClient::bindClock). Only
+     *  tests set it; specs never carry it (specio does not write
+     *  it). */
+    bool oracleEngine = false;
 };
 
 /** Aggregate outcome of one run. */
@@ -182,8 +189,8 @@ class System
     // The hit fast path (see DESIGN.md, "Making simulated hits as
     // cheap as hardware hits"). Produces bit-identical results to
     // the per-step legacy path, which is kept verbatim as
-    // runSliceSlow/runBurstSlow/step/dataStep and selected by the
-    // TW_SLOW_PATH environment variable.
+    // runSliceSlow/runBurstSlow/step/dataStep and selected by
+    // SystemConfig::oracleEngine.
     /** Fold the run's observability tallies into the process-wide
      *  obs registry (once, at the end of run()). */
     void flushObsCounters();
@@ -191,9 +198,9 @@ class System
     Addr translateFast(Task &task, Addr va, MicroTlb &tlb);
     void stepFast(Task &task);
     void dataStepFast(Task &task);
-    Counter runInner(Task &task, Counter h);
-    Counter runInnerFiltered(Task &task, Counter h);
-    Counter runInnerObserved(Task &task, Counter h);
+    Counter runBatch(Task &task, Counter h);
+    template <bool kDataTraps> Counter runInner(Task &task, Counter h);
+    Counter runObserved(Task &task, Counter h);
     Counter clockHorizon() const;
     void runSliceFast(Task &task);
     void runBurstFast(Task &task, Counter len, Counter masked_prefix);
@@ -225,8 +232,6 @@ class System
     unsigned initialSpawns_ = 0;
     bool ran_ = false;
 
-    /** TW_SLOW_PATH was set: run the legacy per-step path. */
-    bool slowPath_ = false;
     /** simd::wide() at run() start: whether the span scans of this
      *  run dispatch to a wide (AVX2/AVX-512) implementation — only
      *  the wide/scalar obs attribution, never the results, depends
@@ -236,6 +241,9 @@ class System
      *  storage address is stable for the run; see TrapFilterView). */
     TrapFilterView filter_{};
     bool hasFilter_ = false;
+    /** The filter can deliver data references (Load or Store in its
+     *  kind mask): runBatch takes runInner<true>. */
+    bool dataTraps_ = false;
     /** Translation cache for the clock handler's references, which
      *  would otherwise thrash the kernel task's fetch entry. */
     MicroTlb handlerTlb_;

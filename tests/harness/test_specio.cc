@@ -192,6 +192,28 @@ TEST(SpecIo, StrictParseRejectsBadEnumValue)
     EXPECT_NE(err.find("quantum"), std::string::npos) << err;
 }
 
+TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
+{
+    // Both are well-formed numbers the engine cannot run: the store
+    // split divides by storeEvery, and a zero quantum never ends a
+    // run. They must fail the parse, never reach a System.
+    const std::pair<const char *, const char *> kZeroes[] = {
+        {"workload", "storeEvery"},
+        {"sys", "quantumInstr"},
+    };
+    for (const auto &[parent, key] : kZeroes) {
+        Json j = specToJson(sampleSpec());
+        Json sub = *j.find(parent);
+        sub.set(key, Json::number(0u));
+        j.set(parent, std::move(sub));
+        RunSpec out;
+        std::string err;
+        EXPECT_FALSE(specFromJson(j, out, err)) << key;
+        EXPECT_NE(err.find(key), std::string::npos) << err;
+        EXPECT_FALSE(parseRunSpec(j.dump(), out, err)) << key;
+    }
+}
+
 TEST(SpecIo, CacheKeyNormalizesTrialSeed)
 {
     RunSpec a = sampleSpec();

@@ -126,6 +126,19 @@ TEST(SystemConfig, SmallMemoryIsFatal)
         ::testing::ExitedWithCode(1), "out of physical memory");
 }
 
+TEST(SystemConfig, ZeroQuantumOrStoreEveryIsRefused)
+{
+    // A zero quantum would never finish a run, and a zero storeEvery
+    // would divide by zero on the first data ref: construction
+    // stops both rather than hang or trap mid-run.
+    SystemConfig zeroQuantum;
+    zeroQuantum.quantumInstr = 0;
+    EXPECT_DEATH(System(zeroQuantum, wl()), "quantumInstr");
+    WorkloadSpec zeroStore = wl();
+    zeroStore.storeEvery = 0;
+    EXPECT_DEATH(System(SystemConfig{}, zeroStore), "storeEvery");
+}
+
 TEST(SystemConfig, ReservedFramesNeverHandedOut)
 {
     SystemConfig cfg;

@@ -329,6 +329,29 @@ TEST(Router, GracefulStopDrainsAndRejectsNewWork)
     EXPECT_TRUE(w.ping(&err)) << err;
 }
 
+TEST(Router, UnrunnableSpecGetsBadRequest)
+{
+    // A zero storeEvery (division by zero in the engine) or a zero
+    // quantum (a trial that never ends) parses as JSON but must be
+    // refused at the router's door, before any worker sees it.
+    Pool pool(1);
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(pool.routerPath, &err)) << err;
+    RunSpec zeroStore = smallSpec();
+    zeroStore.workload.storeEvery = 0;
+    RunSpec zeroQuantum = smallSpec();
+    zeroQuantum.sys.quantumInstr = 0;
+    for (const RunSpec &spec : {zeroStore, zeroQuantum}) {
+        SweepResult res = client.submitSweep(spec, {1}, false);
+        EXPECT_FALSE(res.ok);
+        EXPECT_EQ(res.errorCode, serve::kErrBadRequest)
+            << res.errorMsg;
+    }
+    EXPECT_TRUE(client.ping(&err)) << err;
+    EXPECT_EQ(pool.workers[0]->metrics().rowsComputed.value(), 0u);
+}
+
 TEST(Router, EmptyRingRejectsInsteadOfHanging)
 {
     // A router whose every worker is down must answer — typed

@@ -330,9 +330,35 @@ TEST(Server, MalformedRequestGetsBadRequest)
                 "\"seeds\":[1]}");
     expectError("{\"id\":5,\"op\":\"submit\",\"spec\":7,"
                 "\"seeds\":[1]}");
+    // Well-formed specs the engine cannot run: a zero storeEvery
+    // divides by zero, a zero quantum never ends the trial. Either
+    // would take the whole daemon (or one worker) with it.
+    auto zeroed = [](const char *parent, const char *key) {
+        Json spec = specToJson(smallSpec());
+        Json sub = *spec.find(parent);
+        sub.set(key, Json::number(0u));
+        spec.set(parent, std::move(sub));
+        Json req = Json::object();
+        req.set("id", Json::number(6u));
+        req.set("op", Json::str("submit"));
+        req.set("spec", Json::str(spec.dump()));
+        Json seeds = Json::array();
+        seeds.push(Json::number(1u));
+        req.set("seeds", std::move(seeds));
+        return req.dump();
+    };
+    expectError(zeroed("workload", "storeEvery"));
+    expectError(zeroed("sys", "quantumInstr"));
+    // And the daemon is still there to answer.
+    ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
+    ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
+    Json pong;
+    ASSERT_TRUE(Json::parse(line, pong, nullptr)) << line;
+    EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 6u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 8u);
+    EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 
 TEST(Server, NegativeSeedOrDeadlineIsRejected)
