@@ -6,9 +6,7 @@
  *   bench_driver --run fig2 [--threads N] [--scale D] [--report]
  *                           [--rows PATH|-]
  *
- * Unlike the legacy per-table wrappers (which only warn, to stay
- * drop-in compatible with old scripts), the driver hard-errors on
- * any flag it does not understand.
+ * The driver hard-errors on any flag it does not understand.
  */
 
 #include <cstdio>

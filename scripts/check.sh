@@ -2,7 +2,7 @@
 # Full verification pass: configure, build, run all tests (serial
 # and with parallel trial dispatch), run AddressSanitizer and
 # ThreadSanitizer builds of the engine and parallel harness tests,
-# then run every bench binary.
+# then run every registered experiment and bench binary.
 # TW_SCALE_DIV can shrink the workloads for a quick smoke run
 # (e.g. TW_SCALE_DIV=2000 ./scripts/check.sh).
 set -e
@@ -26,12 +26,17 @@ TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 # prefetch buffers by pointer and rewinds the fetch pointer when a
 # data ref faults or is delivered mid-chunk, and the integration
 # suite (FastPath included), the OS model and the simulator core
-# drive every such path.
+# drive every such path. The serve and shard suites ride along: the
+# wire codec, the line readers and the router's nonblocking buffers
+# are parsing and buffer code fed straight from sockets.
 cmake -B build-asan -G Ninja -DTW_SANITIZE=address
-cmake --build build-asan --target test_integration test_os test_core
+cmake --build build-asan --target test_integration test_os test_core \
+    test_serve test_shard
 ./build-asan/tests/test_integration
 ./build-asan/tests/test_os
 ./build-asan/tests/test_core
+./build-asan/tests/test_serve
+./build-asan/tests/test_shard
 
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which
@@ -114,12 +119,15 @@ TW_THREADS=2 ./build-tsan/tests/test_shard
 ./build/bench/bench_driver --list
 ./scripts/migration_diff.sh all
 
-for b in build/bench/*; do
-    # bench_driver needs --run; migration_diff above already drives
-    # it across every registered experiment.
-    case "$b" in */bench_driver) continue ;; esac
-    [ -f "$b" ] && [ -x "$b" ] && "$b"
+# Every registered experiment once at its default scale (the
+# migration diff above runs them at 1/2000), then the service, micro
+# and calibration benches.
+for e in $(./build/bench/bench_driver --list | awk '{ print $1 }'); do
+    ./build/bench/bench_driver --run "$e"
 done
+./build/bench/bench_serve
+./build/bench/bench_micro
+./build/bench/calibrate
 
 # Perf smoke: the instrumented large-cache fig2 row must not fall
 # below 70% of the checked-in baseline rate (refs/s). Catches a

@@ -17,14 +17,16 @@
 # (scripts/perf_baseline.json). A regression that loses either fast
 # path shows up as a many-x drop, far below the threshold, while
 # machine-to-machine variation stays well above it. The run happens
-# in a scratch directory so the checked-in BENCH json is untouched.
+# in a scratch directory so the checked-in BENCH json is untouched,
+# and at the 1/20 scale the floors were set at, whatever
+# TW_SCALE_DIV the caller exports.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 set -e
 cd "$(dirname "$0")/.."
 ROOT=$(pwd)
 BUILD="${1:-build}"
-BENCH="$ROOT/$BUILD/bench/bench_fig2_slowdowns"
+BENCH="$ROOT/$BUILD/bench/bench_driver"
 BASELINE="$ROOT/scripts/perf_baseline.json"
 MIN_PCT=70
 
@@ -39,8 +41,8 @@ trap 'rm -rf "$T"' EXIT
 # 1/20 scale runs ~100M references (~150 ms): long enough that the
 # rate is not dominated by per-trial setup or timer noise.
 (cd "$T" && TW_FIG2_ONLY_KB=1024 TW_FIG2_DCACHE=1 \
-    TW_SCALE_DIV="${TW_SCALE_DIV:-20}" TW_THREADS=1 \
-    "$BENCH" --report > /dev/null)
+    TW_SCALE_DIV=20 TW_THREADS=1 \
+    "$BENCH" --run fig2 --report > /dev/null)
 
 json_num() {
     awk -F: -v k="\"$2\"" '$1 ~ k { gsub(/[ ,]/, "", $2); print $2 }' "$1"

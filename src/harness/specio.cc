@@ -396,8 +396,14 @@ workloadFromJson(const Json &j, WorkloadSpec &out, std::string &err)
     f.dbl("fracX", out.fracX);
     f.dbl("fracUser", out.fracUser);
     f.uns("taskCount", out.taskCount);
+    // System forks taskCount user tasks over the binaries: it needs
+    // at least one of each.
+    if (out.taskCount == 0)
+        f.fail("WorkloadSpec: 'taskCount' must be >= 1");
     f.uns("concurrency", out.concurrency);
     streamListFromJson(f, "binaries", out.binaries, err);
+    if (out.binaries.empty())
+        f.fail("WorkloadSpec: 'binaries' must not be empty");
     streamListFromJson(f, "binaryData", out.binaryData, err);
     auto sub = [&](const char *key, StreamParams &p) {
         if (const Json *v = f.get(key)) {
@@ -420,6 +426,25 @@ workloadFromJson(const Json &j, WorkloadSpec &out, std::string &err)
     f.dbl("syscallsPer1k", out.syscallsPer1k);
     f.dbl("bsdProb", out.bsdProb);
     f.dbl("xProb", out.xProb);
+    // System builds a stream from every text, and from every data
+    // segment once data refs are on; a stream fatal()s on unusable
+    // parameters, so refuse them here.
+    auto stream = [&](const char *key, const StreamParams &p) {
+        if (std::string why = p.check(); !why.empty())
+            f.fail("WorkloadSpec: %s: %s", key, why.c_str());
+    };
+    stream("kernelText", out.kernelText);
+    stream("bsdText", out.bsdText);
+    stream("xText", out.xText);
+    for (const StreamParams &p : out.binaries)
+        stream("binaries", p);
+    if (out.dataRefsPer1k > 0.0) {
+        stream("kernelData", out.kernelData);
+        stream("bsdData", out.bsdData);
+        stream("xData", out.xData);
+        for (const StreamParams &p : out.binaryData)
+            stream("binaryData", p);
+    }
     return f.finish();
 }
 
@@ -457,6 +482,9 @@ sysFromJson(const Json &j, SystemConfig &out, std::string &err)
     f.u64("reservedFrames", out.reservedFrames);
     f.uns("cpiBase", out.cpiBase);
     f.u64("clockInterval", out.clockInterval);
+    // The clock device needs a nonzero interrupt interval.
+    if (out.clockInterval == 0)
+        f.fail("SystemConfig: 'clockInterval' must be >= 1");
     f.bln("clockJitter", out.clockJitter);
     f.u64("tickHandlerInstr", out.tickHandlerInstr);
     f.u64("quantumInstr", out.quantumInstr);
@@ -506,6 +534,10 @@ cacheCfgFromJson(const Json &j, CacheConfig &out, std::string &err)
     f.bln("tagIncludesTask", out.tagIncludesTask);
     f.enm("policy", out.policy, replPolicyFromName);
     f.u64("seed", out.seed);
+    // Every cache and TLB fatal()s on an unusable geometry.
+    if (f.ok())
+        if (std::string why = out.check(); !why.empty())
+            f.fail("CacheConfig: %s", why.c_str());
     return f.finish();
 }
 

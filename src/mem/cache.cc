@@ -31,22 +31,33 @@ indexingName(Indexing i)
     return i == Indexing::Virtual ? "virtual" : "physical";
 }
 
+std::string
+CacheConfig::check() const
+{
+    if (!isPowerOf2(sizeBytes) || !isPowerOf2(lineBytes))
+        return csprintf(
+            "cache '%s': size (%llu) and line (%u) must be powers of 2",
+            name.c_str(), static_cast<unsigned long long>(sizeBytes),
+            lineBytes);
+    if (lineBytes > sizeBytes)
+        return csprintf("cache '%s': line larger than cache",
+                        name.c_str());
+    if (assoc == 0 || numLines() % assoc != 0)
+        return csprintf(
+            "cache '%s': associativity %u does not divide %llu lines",
+            name.c_str(), assoc,
+            static_cast<unsigned long long>(numLines()));
+    if (!isPowerOf2(numSets()))
+        return csprintf("cache '%s': set count must be a power of 2",
+                        name.c_str());
+    return {};
+}
+
 void
 CacheConfig::validate() const
 {
-    if (!isPowerOf2(sizeBytes) || !isPowerOf2(lineBytes))
-        fatal("cache '%s': size (%llu) and line (%u) must be powers of 2",
-              name.c_str(), static_cast<unsigned long long>(sizeBytes),
-              lineBytes);
-    if (lineBytes > sizeBytes)
-        fatal("cache '%s': line larger than cache", name.c_str());
-    if (assoc == 0 || numLines() % assoc != 0)
-        fatal("cache '%s': associativity %u does not divide %llu lines",
-              name.c_str(), assoc,
-              static_cast<unsigned long long>(numLines()));
-    if (!isPowerOf2(numSets()))
-        fatal("cache '%s': set count must be a power of 2",
-              name.c_str());
+    if (std::string why = check(); !why.empty())
+        fatal("%s", why.c_str());
 }
 
 CacheConfig

@@ -79,7 +79,10 @@ struct CacheConfig
     /** Number of sets. */
     std::uint64_t numSets() const { return numLines() / assoc; }
 
-    /** Abort (fatal) if the geometry is not usable. */
+    /** Why the geometry is not usable; empty when it is. */
+    std::string check() const;
+
+    /** Abort (fatal) with check()'s reason, if any. */
     void validate() const;
 
     /** Convenience: a direct-mapped I-cache like the paper's

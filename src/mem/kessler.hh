@@ -8,7 +8,8 @@
  * size of the workload, and decreases for larger and smaller
  * caches." This module provides the analytic expectation and a
  * Monte-Carlo estimator of the placement-to-placement variability,
- * which bench_kessler compares against measured Table 9 deviations.
+ * which the `kessler` experiment compares against measured Table 9
+ * deviations.
  */
 
 #ifndef TW_MEM_KESSLER_HH

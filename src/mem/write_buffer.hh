@@ -15,7 +15,7 @@
  * trace-driven simulator sees every reference with an implicit
  * clock and can model the queue exactly, which this class does for
  * the trace-driven side of the flexibility comparison
- * (bench_dcache_writepolicy).
+ * (`bench_driver --run dcache_writepolicy`).
  */
 
 #ifndef TW_MEM_WRITE_BUFFER_HH

@@ -60,22 +60,105 @@ Client::disconnect()
     }
 }
 
+namespace
+{
+
+/** A request object carrying just its op (the id is added when it
+ *  is sent). */
+Json
+opRequest(const char *op)
+{
+    Json req = Json::object();
+    req.set("op", Json::str(op));
+    return req;
+}
+
+} // anonymous namespace
+
+bool
+Client::exchange(
+    Json req,
+    const std::function<bool(const Json &, const std::string &)>
+        &on_frame,
+    std::string &err)
+{
+    if (fd_ < 0) {
+        err = "not connected";
+        return false;
+    }
+    std::uint64_t id = nextId_++;
+    req.set("id", Json::number(id)); // in place, if the caller put it
+    if (!sendJsonLine(fd_, req)) {
+        err = "send failed";
+        return false;
+    }
+    std::string line;
+    while (true) {
+        if (reader_.readLine(line) != LineReader::Status::Line) {
+            err = "connection closed mid-response";
+            return false;
+        }
+        Json frame;
+        std::string perr;
+        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
+            err = "bad frame from server: " + perr;
+            return false;
+        }
+        const Json *idj = frame.find("id");
+        if (!idj || idj->asU64() != id)
+            continue; // a frame for some other request id
+        const Json *evj = frame.find("ev");
+        if (on_frame(frame, evj ? evj->asString() : std::string()))
+            return true;
+    }
+}
+
+SweepResult
+Client::collectRows(Json req,
+                    const std::function<void(const SweepRow &)> &on_row)
+{
+    SweepResult result;
+    auto onFrame = [&](const Json &frame, const std::string &ev) {
+        if (ev == "row") {
+            SweepRow row;
+            if (!decodeRow(frame, row, result.errorMsg))
+                return true;
+            if (on_row)
+                on_row(row);
+            result.rows.push_back(std::move(row));
+            return false;
+        }
+        if (ev == "done") {
+            if (const Json *j = frame.find("cached"))
+                result.cached = j->asU64();
+            if (const Json *j = frame.find("computed"))
+                result.computed = j->asU64();
+            if (const Json *j = frame.find("expired"))
+                result.expired = j->asU64();
+            result.ok = true;
+        } else if (ev == "error") {
+            if (const Json *j = frame.find("code"))
+                result.errorCode = j->asString();
+            if (const Json *j = frame.find("msg"))
+                result.errorMsg = j->asString();
+        } else {
+            // Unknown event for our id: protocol error.
+            result.errorMsg = "unexpected event '" + ev + "'";
+        }
+        return true;
+    };
+    exchange(std::move(req), onFrame, result.errorMsg);
+    return result;
+}
+
 SweepResult
 Client::submitSweep(
     const RunSpec &spec, const std::vector<std::uint64_t> &seeds,
     bool with_slowdown, std::optional<std::uint64_t> deadline_ms,
     const std::function<void(const SweepRow &)> &on_row)
 {
-    SweepResult result;
-    if (fd_ < 0) {
-        result.errorMsg = "not connected";
-        return result;
-    }
-    std::uint64_t id = nextId_++;
-
-    Json req = Json::object();
-    req.set("op", Json::str("submit"));
-    req.set("id", Json::number(id));
+    Json req = opRequest("submit");
+    req.set("id", Json::number(nextId_));
     // Ship the spec as canonical text: the server parses it back
     // with the same strict reader, so what was submitted is exactly
     // what is fingerprinted.
@@ -87,244 +170,59 @@ Client::submitSweep(
     req.set("slowdown", Json::boolean(with_slowdown));
     if (deadline_ms)
         req.set("deadline_ms", Json::number(*deadline_ms));
-    if (!sendJsonLine(fd_, req)) {
-        result.errorMsg = "send failed";
-        return result;
-    }
-
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            result.errorMsg = "connection closed mid-response";
-            return result;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            result.errorMsg = "bad frame from server: " + perr;
-            return result;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue; // a frame for some other request id
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-
-        if (ev == "row") {
-            SweepRow row;
-            if (const Json *j = frame.find("trial"))
-                row.trial = j->asU64();
-            if (const Json *j = frame.find("seed"))
-                row.seed = j->asU64();
-            if (const Json *j = frame.find("cached"))
-                row.cached = j->asBool();
-            if (const Json *j = frame.find("host_s"))
-                row.hostSeconds = j->asDouble();
-            if (frame.find("error")) {
-                row.expired = true;
-            } else if (const Json *j = frame.find("outcome")) {
-                std::string oerr;
-                if (!outcomeFromJson(*j, row.outcome, oerr)) {
-                    result.errorMsg = "bad outcome row: " + oerr;
-                    return result;
-                }
-                // hostSeconds travels outside the canonical text.
-                row.outcome.hostSeconds = row.hostSeconds;
-            }
-            if (on_row)
-                on_row(row);
-            result.rows.push_back(std::move(row));
-            continue;
-        }
-        if (ev == "done") {
-            if (const Json *j = frame.find("cached"))
-                result.cached = j->asU64();
-            if (const Json *j = frame.find("computed"))
-                result.computed = j->asU64();
-            if (const Json *j = frame.find("expired"))
-                result.expired = j->asU64();
-            result.ok = true;
-            return result;
-        }
-        if (ev == "error") {
-            if (const Json *j = frame.find("code"))
-                result.errorCode = j->asString();
-            if (const Json *j = frame.find("msg"))
-                result.errorMsg = j->asString();
-            return result;
-        }
-        // Unknown event for our id: protocol error.
-        result.errorMsg = "unexpected event '" + ev + "'";
-        return result;
-    }
+    return collectRows(std::move(req), on_row);
 }
 
 ExperimentResult
 Client::runExperiment(const std::string &name, unsigned scale_div)
 {
-    ExperimentResult result;
-    result.experiment = name;
-    if (fd_ < 0) {
-        result.errorMsg = "not connected";
-        return result;
-    }
-    std::uint64_t id = nextId_++;
-
-    Json req = Json::object();
-    req.set("op", Json::str("run_experiment"));
-    req.set("id", Json::number(id));
+    Json req = opRequest("run_experiment");
+    req.set("id", Json::number(nextId_));
     req.set("experiment", Json::str(name));
     if (scale_div != 0)
         req.set("scale", Json::number(
                              static_cast<std::uint64_t>(scale_div)));
-    if (!sendJsonLine(fd_, req)) {
-        result.errorMsg = "send failed";
-        return result;
-    }
-
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            result.errorMsg = "connection closed mid-response";
-            return result;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            result.errorMsg = "bad frame from server: " + perr;
-            return result;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue;
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-
-        if (ev == "row") {
-            ServedExperimentRow row;
-            if (const Json *j = frame.find("unit"))
-                row.unit = j->asString();
-            if (const Json *j = frame.find("seq"))
-                row.seq = j->asU64();
-            if (const Json *j = frame.find("trial"))
-                row.trial = j->asU64();
-            if (const Json *j = frame.find("seed"))
-                row.seed = j->asU64();
-            if (const Json *j = frame.find("cached"))
-                row.cached = j->asBool();
-            if (const Json *j = frame.find("host_s"))
-                row.hostSeconds = j->asDouble();
-            if (frame.find("error")) {
-                row.expired = true;
-            } else if (const Json *j = frame.find("outcome")) {
-                std::string oerr;
-                if (!outcomeFromJson(*j, row.outcome, oerr)) {
-                    result.errorMsg = "bad outcome row: " + oerr;
-                    return result;
-                }
-                row.outcome.hostSeconds = row.hostSeconds;
-            }
-            result.rows.push_back(std::move(row));
-            continue;
-        }
-        if (ev == "done") {
-            if (const Json *j = frame.find("cached"))
-                result.cached = j->asU64();
-            if (const Json *j = frame.find("computed"))
-                result.computed = j->asU64();
-            if (const Json *j = frame.find("expired"))
-                result.expired = j->asU64();
-            // Workers finish out of order; the registry's job order
-            // is by dense seq.
-            std::sort(result.rows.begin(), result.rows.end(),
-                      [](const ServedExperimentRow &a,
-                         const ServedExperimentRow &b) {
-                          return a.seq < b.seq;
-                      });
-            result.ok = true;
-            return result;
-        }
-        if (ev == "error") {
-            if (const Json *j = frame.find("code"))
-                result.errorCode = j->asString();
-            if (const Json *j = frame.find("msg"))
-                result.errorMsg = j->asString();
-            return result;
-        }
-        result.errorMsg = "unexpected event '" + ev + "'";
-        return result;
-    }
-}
-
-bool
-Client::simpleOp(const char *op, const char *expect_ev, Json &resp,
-                 std::string *err)
-{
-    Json req = Json::object();
-    req.set("op", Json::str(op));
-    return requestResponse(std::move(req), expect_ev, resp, err);
+    ExperimentResult result = collectRows(std::move(req), {});
+    // Workers finish out of order; the registry's job order is by
+    // dense seq.
+    std::sort(result.rows.begin(), result.rows.end(),
+              [](const SweepRow &a, const SweepRow &b) {
+                  return a.seq < b.seq;
+              });
+    return result;
 }
 
 bool
 Client::requestResponse(Json req, const char *expect_ev, Json &resp,
                         std::string *err)
 {
-    if (fd_ < 0) {
-        if (err)
-            *err = "not connected";
-        return false;
-    }
-    std::uint64_t id = nextId_++;
-    req.set("id", Json::number(id));
-    if (!sendJsonLine(fd_, req)) {
-        if (err)
-            *err = "send failed";
-        return false;
-    }
-    std::string line;
-    while (true) {
-        LineReader::Status st = reader_.readLine(line);
-        if (st != LineReader::Status::Line) {
-            if (err)
-                *err = "connection closed mid-response";
-            return false;
-        }
-        Json frame;
-        std::string perr;
-        if (!Json::parse(line, frame, &perr) || !frame.isObject()) {
-            if (err)
-                *err = "bad frame from server: " + perr;
-            return false;
-        }
-        const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
-            continue;
-        const Json *evj = frame.find("ev");
-        const std::string &ev = evj ? evj->asString() : "";
-        if (ev == expect_ev) {
-            resp = std::move(frame);
-            return true;
-        }
-        if (ev == "error") {
-            if (err) {
+    std::string why;
+    bool got = false;
+    exchange(
+        std::move(req),
+        [&](const Json &frame, const std::string &ev) {
+            if (ev == expect_ev) {
+                resp = frame;
+                got = true;
+            } else if (ev == "error") {
                 const Json *m = frame.find("msg");
-                *err = m ? m->asString() : "server error";
+                why = m ? m->asString() : "server error";
+            } else {
+                why = "unexpected event '" + ev + "'";
             }
-            return false;
-        }
-        if (err)
-            *err = "unexpected event '" + ev + "'";
-        return false;
-    }
+            return true;
+        },
+        why);
+    if (!got && err)
+        *err = why;
+    return got;
 }
 
 bool
 Client::stats(Json &out, std::string *err)
 {
     Json resp;
-    if (!simpleOp("stats", "stats", resp, err))
+    if (!requestResponse(opRequest("stats"), "stats", resp, err))
         return false;
     if (const Json *s = resp.find("stats")) {
         out = *s;
@@ -339,8 +237,7 @@ bool
 Client::metrics(Json &out, std::string *prom_text, bool prom,
                 std::string *err)
 {
-    Json req = Json::object();
-    req.set("op", Json::str("metrics"));
+    Json req = opRequest("metrics");
     if (prom)
         req.set("format", Json::str("prom"));
     Json resp;
@@ -370,21 +267,21 @@ bool
 Client::flushCache(std::string *err)
 {
     Json resp;
-    return simpleOp("flush-cache", "ok", resp, err);
+    return requestResponse(opRequest("flush-cache"), "ok", resp, err);
 }
 
 bool
 Client::shutdownServer(std::string *err)
 {
     Json resp;
-    return simpleOp("shutdown", "ok", resp, err);
+    return requestResponse(opRequest("shutdown"), "ok", resp, err);
 }
 
 bool
 Client::ping(std::string *err)
 {
     Json resp;
-    return simpleOp("ping", "pong", resp, err);
+    return requestResponse(opRequest("ping"), "pong", resp, err);
 }
 
 } // namespace serve

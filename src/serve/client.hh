@@ -28,49 +28,7 @@ namespace tw
 namespace serve
 {
 
-/** One streamed trial result. */
-struct SweepRow
-{
-    std::uint64_t trial = 0;
-    std::uint64_t seed = 0;
-    bool cached = false;
-    /** Deadline-expired rows carry no outcome. */
-    bool expired = false;
-    double hostSeconds = 0.0;
-    RunOutcome outcome;
-};
-
-/** One streamed row of a served registry experiment. */
-struct ServedExperimentRow
-{
-    std::string unit;
-    std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
-    std::uint64_t seed = 0;
-    bool cached = false;
-    bool expired = false;
-    double hostSeconds = 0.0;
-    RunOutcome outcome;
-};
-
-/** Everything a run_experiment returned. Rows are sorted by seq —
- *  the registry's deterministic job order — so rendering them with
- *  experimentRowJson reproduces a local `bench_driver --run --rows`
- *  stream byte for byte. */
-struct ExperimentResult
-{
-    bool ok = false;
-    std::string errorCode;
-    std::string errorMsg;
-
-    std::string experiment;
-    std::vector<ServedExperimentRow> rows;
-    std::uint64_t cached = 0;
-    std::uint64_t computed = 0;
-    std::uint64_t expired = 0;
-};
-
-/** Everything a submit returned. */
+/** Everything a submit or run_experiment returned. */
 struct SweepResult
 {
     bool ok = false;
@@ -79,6 +37,10 @@ struct SweepResult
     std::string errorCode;
     std::string errorMsg;
 
+    /** A submit's rows in arrival order; a run_experiment's sorted
+     *  by seq — the registry's deterministic job order — so
+     *  rendering them with experimentRowJson reproduces a local
+     *  `bench_driver --run --rows` stream byte for byte. */
     std::vector<SweepRow> rows;
     std::uint64_t cached = 0;
     std::uint64_t computed = 0;
@@ -88,6 +50,10 @@ struct SweepResult
      *  default-constructed). Size = max trial index + 1. */
     std::vector<RunOutcome> outcomes() const;
 };
+
+/** The names run_experiment callers use for the same types. */
+using ServedExperimentRow = SweepRow;
+using ExperimentResult = SweepResult;
 
 class Client
 {
@@ -147,11 +113,23 @@ class Client
     bool ping(std::string *err = nullptr);
 
   private:
-    /** Send one request and read frames until a terminal event. */
-    bool simpleOp(const char *op, const char *expect_ev, Json &resp,
-                  std::string *err);
-    /** Like simpleOp, but the caller supplies extra request fields
-     *  (op/id are filled in here). */
+    /**
+     * The one frame loop: send @p req under the next id, then hand
+     * each frame answering it to @p on_frame (with its "ev") until
+     * that returns true. False + @p err on a transport or framing
+     * failure. The id replaces an "id" @p req already holds, so a
+     * caller can fix its place in the line; otherwise it goes last.
+     */
+    bool exchange(
+        Json req,
+        const std::function<bool(const Json &, const std::string &)>
+            &on_frame,
+        std::string &err);
+    /** Run a submit or run_experiment, collecting its rows. */
+    SweepResult collectRows(
+        Json req, const std::function<void(const SweepRow &)> &on_row);
+    /** Send @p req (op filled in by the caller, id here) and expect
+     *  one @p expect_ev frame back. */
     bool requestResponse(Json req, const char *expect_ev,
                          Json &resp, std::string *err);
 

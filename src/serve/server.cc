@@ -122,12 +122,10 @@ struct Server::Request
 {
     std::shared_ptr<Session> session;
     std::uint64_t id = 0;
-    std::shared_ptr<const RunSpec> spec;
     /** Registry entry behind a run_experiment request; empty for
      *  ad-hoc submits. Rows of an experiment carry the name plus
      *  the unit/seq coordinates of the registry's job enumeration. */
     std::string experiment;
-    bool slowdown = true;
     std::optional<Clock::time_point> deadline;
     Clock::time_point start = Clock::now();
 
@@ -138,19 +136,14 @@ struct Server::Request
     std::atomic<std::uint64_t> expired{0};
 };
 
-/** One trial waiting on the bounded queue. Each job carries its own
+/** One trial waiting on the bounded queue. Each carries its own
  *  spec and slowdown flag: a submit shares one spec across its
  *  seeds, while an experiment's grid gives every unit a different
  *  spec (and its trial plan may mix slowdown on and off). */
 struct Server::Job
 {
     std::shared_ptr<Request> req;
-    std::shared_ptr<const RunSpec> spec;
-    std::uint64_t seed = 0;
-    std::uint64_t trial = 0;
-    bool slowdown = true;
-    std::string unit;
-    std::uint64_t seq = 0;
+    Trial trial;
     std::string key;
     Clock::time_point enqueued;
 };
@@ -158,35 +151,9 @@ struct Server::Job
 /** A trial answered straight from the result cache at admission. */
 struct Server::CachedHit
 {
-    std::string unit;
-    std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
-    std::uint64_t seed = 0;
+    Trial trial;
     RunOutcome outcome;
 };
-
-namespace
-{
-
-/** The row-identity prefix shared by cached and computed rows. */
-void
-setRowIdentity(Json &row, const std::string &experiment,
-               std::uint64_t id, const std::string &unit,
-               std::uint64_t seq, std::uint64_t trial,
-               std::uint64_t seed)
-{
-    row.set("id", Json::number(id));
-    row.set("ev", Json::str("row"));
-    if (!experiment.empty()) {
-        row.set("experiment", Json::str(experiment));
-        row.set("unit", Json::str(unit));
-        row.set("seq", Json::number(seq));
-    }
-    row.set("trial", Json::number(trial));
-    row.set("seed", Json::number(seed));
-}
-
-} // anonymous namespace
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)), cache_(cfg_.cacheCapacity),
@@ -469,71 +436,53 @@ Server::sessionLoop(SessionEntry *entry)
 }
 
 void
-Server::sendError(const std::shared_ptr<Session> &session,
-                  std::uint64_t id, const char *code,
-                  const std::string &msg)
+Server::badRequest(const std::shared_ptr<Session> &session,
+                   std::uint64_t id, const std::string &msg)
 {
-    Json j = Json::object();
-    j.set("id", Json::number(id));
-    j.set("ev", Json::str("error"));
-    j.set("code", Json::str(code));
-    j.set("msg", Json::str(msg));
-    session->send(j);
+    metrics_.badRequests.inc();
+    session->send(errorFrame(id, kErrBadRequest, msg));
 }
 
 void
 Server::handleLine(const std::shared_ptr<Session> &session,
                    const std::string &line)
 {
-    Json req;
+    RequestLine req;
     std::string err;
-    bool parsed;
+    bool decoded;
     {
         obs::ScopedSpan span("parse", "serve");
-        parsed = Json::parse(line, req, &err) && req.isObject();
+        decoded = decodeRequestLine(line, req, err);
     }
-    if (!parsed) {
-        metrics_.badRequests.inc();
-        sendError(session, 0, kErrBadRequest,
-                  "unparseable request: " + err);
-        return;
-    }
-    std::uint64_t id = 0;
-    if (const Json *j = req.find("id"); j && j->isNumber())
-        id = j->asU64();
-    const Json *opj = req.find("op");
-    if (!opj || !opj->isString()) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, "missing op");
-        return;
-    }
-    const std::string &op = opj->asString();
+    if (!decoded)
+        return badRequest(session, req.id, err);
+    const std::uint64_t id = req.id;
+    const std::string &op = req.op;
 
-    if (op == "submit") {
-        handleSubmit(session, id, req);
-        return;
-    }
-    if (op == "run_experiment") {
-        handleRunExperiment(session, id, req);
+    if (op == "submit" || op == "run_experiment") {
+        (op == "submit" ? metrics_.submits : metrics_.runExperiments)
+            .inc();
+        TrialRequest trials;
+        if (!decodeTrials(req, trials, err))
+            return badRequest(session, id, err);
+        admitTrials(session, id, std::move(trials));
         return;
     }
     if (op == "reserve") {
-        handleReserve(session, id, req);
+        handleReserve(session, id, req.json);
         return;
     }
     if (op == "release") {
-        handleRelease(session, id, req);
+        handleRelease(session, id, req.json);
         return;
     }
     if (op == "run_jobs") {
-        handleRunJobs(session, id, req);
+        handleRunJobs(session, id, req.json);
         return;
     }
     if (op == "stats") {
         metrics_.statsReqs.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("stats"));
+        Json resp = replyFrame(id, "stats");
         resp.set("stats", statsJson());
         session->send(resp);
         return;
@@ -542,207 +491,144 @@ Server::handleLine(const std::shared_ptr<Session> &session,
         // The whole-process registry — engine counters next to
         // serve counters — not the per-server stats view.
         metrics_.metricsReqs.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("metrics"));
-        bool prom = false;
-        if (const Json *j = req.find("format"); j && j->isString())
-            prom = j->asString() == "prom";
-        if (prom)
-            resp.set("prom", Json::str(obs::registry().promText()));
-        else
-            resp.set("metrics", obs::registry().snapshotJson());
-        session->send(resp);
+        session->send(metricsFrame(id, req.json));
         return;
     }
     if (op == "flush-cache") {
         metrics_.flushes.inc();
         cache_.flush();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        session->send(resp);
+        session->send(replyFrame(id, "ok"));
         return;
     }
     if (op == "ping") {
         metrics_.pings.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("pong"));
-        session->send(resp);
+        session->send(replyFrame(id, "pong"));
         return;
     }
     if (op == "shutdown") {
         metrics_.shutdowns.inc();
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        session->send(resp);
+        session->send(replyFrame(id, "ok"));
         requestStop();
         return;
     }
-    metrics_.badRequests.inc();
-    sendError(session, id, kErrBadRequest, "unknown op '" + op + "'");
+    badRequest(session, id, "unknown op '" + op + "'");
 }
 
 void
-Server::handleSubmit(const std::shared_ptr<Session> &session,
-                     std::uint64_t id, const Json &reqJson)
+Server::admitTrials(const std::shared_ptr<Session> &session,
+                    std::uint64_t id, TrialRequest trials,
+                    std::uint64_t reservation)
 {
-    metrics_.submits.inc();
-
-    // ---- Parse ----------------------------------------------------
-    auto bad = [&](const std::string &msg) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
-    };
-
-    const Json *specj = reqJson.find("spec");
-    if (!specj)
-        return bad("missing spec");
-    auto spec = std::make_shared<RunSpec>();
-    std::string err;
-    if (specj->isString()) {
-        // Canonical text pass-through (what twctl sends).
-        if (!parseRunSpec(specj->asString(), *spec, err))
-            return bad("bad spec: " + err);
-    } else if (specj->isObject()) {
-        if (!specFromJson(*specj, *spec, err))
-            return bad("bad spec: " + err);
-    } else {
-        return bad("spec must be an object or canonical text");
-    }
-
-    const Json *seedsj = reqJson.find("seeds");
-    if (!seedsj || !seedsj->isArray() || seedsj->size() == 0)
-        return bad("seeds must be a non-empty array");
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(seedsj->size());
-    for (std::size_t i = 0; i < seedsj->size(); ++i) {
-        const Json &s = seedsj->at(i);
-        // asU64 clamps negative lexemes to 0 instead of wrapping;
-        // a clamped seed would silently compute the wrong trial, so
-        // reject it here.
-        if (!s.isNumber() || s.isNegative())
-            return bad("seeds must be non-negative integers");
-        seeds.push_back(s.asU64());
-    }
-
-    bool slowdown = true;
-    if (const Json *j = reqJson.find("slowdown")) {
-        if (!j->isBool())
-            return bad("slowdown must be a bool");
-        slowdown = j->asBool();
-    }
-    std::optional<Clock::time_point> deadline;
-    if (const Json *j = reqJson.find("deadline_ms")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("deadline_ms must be a non-negative number");
-        deadline = Clock::now()
-                   + std::chrono::milliseconds(j->asU64());
-    }
+    auto request = std::make_shared<Request>();
+    request->session = session;
+    request->id = id;
+    request->experiment = std::move(trials.experiment);
+    if (trials.deadlineMs)
+        request->deadline =
+            Clock::now() + std::chrono::milliseconds(*trials.deadlineMs);
 
     // ---- Plan: cache hits vs jobs ---------------------------------
-    auto request = std::make_shared<Request>();
-    request->session = session;
-    request->id = id;
-    request->spec = spec;
-    request->slowdown = slowdown;
-    request->deadline = deadline;
-
+    // Each trial's key is the one a single-node submit, a served
+    // experiment, a router's run_jobs slice and a local run of the
+    // same trial all use — the property that lets them share
+    // entries, and shard-local caches line up with the ring.
+    const std::string statName =
+        request->experiment.empty() ? "_adhoc" : request->experiment;
     std::vector<CachedHit> hits;
     std::vector<Job> jobs;
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-        std::string key = cacheKey(*spec, seeds[t], slowdown);
+    for (Trial &t : trials.trials) {
+        std::string key = cacheKey(*t.spec, t.seed, t.slowdown);
         RunOutcome out;
         bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup("_adhoc", hit);
-        metrics_.recordCostBackend(costBackendStatName(*spec));
-        if (hit) {
-            hits.push_back({"", 0, t, seeds[t], std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = spec;
-            job.seed = seeds[t];
-            job.trial = t;
-            job.slowdown = slowdown;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
+        metrics_.recordCacheLookup(statName, hit);
+        metrics_.recordCostBackend(costBackendStatName(*t.spec));
+        if (hit)
+            hits.push_back({std::move(t), std::move(out)});
+        else
+            jobs.push_back({request, std::move(t), std::move(key), {}});
+    }
+
+    // ---- Admit ATOMICALLY, before streaming anything --------------
+    // All-or-nothing: a sweep either fully fits the queue's free
+    // space or is rejected whole with `overloaded` — no partial
+    // sweeps wedged behind a full queue, and the client can simply
+    // retry the identical request later (the earlier trials will
+    // then be cache hits). A committed reservation substitutes its
+    // pre-claimed slots for the free-space check.
+    request->remaining.store(jobs.size() + 1);
+    std::size_t reservedSlots = 0;
+    if (reservation != 0) {
+        reservedSlots = takeReservation(reservation, session.get());
+        if (reservedSlots == 0) {
+            // Never issued, another session's, or already settled
+            // (committed, released, or voided at disconnect).
+            return badRequest(session, id, "unknown reservation");
+        }
+        if (jobs.size() > reservedSlots) {
+            queue_.releaseReserved(reservedSlots);
+            return badRequest(
+                session, id,
+                csprintf("%zu jobs exceed reservation of %zu slots",
+                         jobs.size(), reservedSlots));
         }
     }
-    admitAndStream(session, id, request, std::move(jobs), hits);
-}
-
-void
-Server::handleRunExperiment(const std::shared_ptr<Session> &session,
-                            std::uint64_t id, const Json &reqJson)
-{
-    metrics_.runExperiments.inc();
-
-    auto bad = [&](const std::string &msg) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
-    };
-
-    const Json *ej = reqJson.find("experiment");
-    if (!ej || !ej->isString())
-        return bad("missing experiment");
-    const ExperimentDef *def =
-        ExperimentRegistry::instance().find(ej->asString());
-    if (!def)
-        return bad("unknown experiment '" + ej->asString() + "'");
-
-    unsigned scaleOverride = 0;
-    if (const Json *j = reqJson.find("scale")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("scale must be a non-negative number");
-        scaleOverride = static_cast<unsigned>(j->asU64());
-    }
-    unsigned scale = experimentScale(*def, scaleOverride);
-
-    // The SAME deterministic enumeration bench_driver runs locally:
-    // units in grid order, trials in plan order, seq dense from 0.
-    // Each job's cache key is the one a local run would use, so a
-    // served experiment and a local one populate and hit the same
-    // ResultCache entries. Adaptive plans (TrialPlan::stopWhen) do
-    // not perturb this: experimentJobs always enumerates the FULL
-    // seed list — the upper bound an adaptive local run may stop
-    // short of — so all-or-nothing admission sizes against a known
-    // worst case, and every key a stopped-early local sweep wrote is
-    // a prefix of the keys enumerated here.
-    std::vector<ExperimentJob> plan = experimentJobs(*def, scale);
-
-    auto request = std::make_shared<Request>();
-    request->session = session;
-    request->id = id;
-    request->experiment = def->name;
-
-    std::vector<CachedHit> hits;
-    std::vector<Job> jobs;
-    for (ExperimentJob &pj : plan) {
-        std::string key = cacheKey(pj.spec, pj.seed, pj.withSlowdown);
-        RunOutcome out;
-        bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup(def->name, hit);
-        metrics_.recordCostBackend(costBackendStatName(pj.spec));
-        if (hit) {
-            hits.push_back({pj.unit, pj.seq, pj.trial, pj.seed,
-                            std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = std::make_shared<RunSpec>(std::move(pj.spec));
-            job.seed = pj.seed;
-            job.trial = pj.trial;
-            job.slowdown = pj.withSlowdown;
-            job.unit = std::move(pj.unit);
-            job.seq = pj.seq;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
+    if (!jobs.empty()) {
+        obs::ScopedSpan span("admit", "serve");
+        Clock::time_point now = Clock::now();
+        for (auto &j : jobs)
+            j.enqueued = now;
+        std::size_t n = jobs.size();
+        bool admitted =
+            reservation != 0
+                ? queue_.pushReserved(std::move(jobs), reservedSlots)
+                : queue_.tryPushAll(std::move(jobs));
+        if (!admitted) {
+            if (stopping_.load()) {
+                metrics_.rejectedShuttingDown.inc();
+                session->send(errorFrame(id, kErrShuttingDown,
+                                         "server is draining"));
+            } else {
+                metrics_.rejectedOverloaded.inc();
+                session->send(errorFrame(
+                    id, kErrOverloaded,
+                    csprintf("queue full (%zu jobs would exceed "
+                             "capacity %zu)",
+                             n, queue_.capacity())));
+            }
+            return;
         }
+        metrics_.jobsInFlight.add(static_cast<std::int64_t>(n));
+        // Wake workers parked in nextJob(): the queue has its own
+        // cv, but dequeues are serialized on workCv_ (pause gate).
+        wakeWorkers();
+    } else if (reservedSlots > 0) {
+        // Every reserved trial became a cache hit between reserve
+        // and commit; hand the slots straight back.
+        queue_.releaseReserved(reservedSlots);
     }
-    admitAndStream(session, id, request, std::move(jobs), hits);
+
+    // ---- Stream cached rows, then release our +1 ------------------
+    if (!hits.empty()) {
+        obs::ScopedSpan span("stream", "serve");
+        // One coalesced write for the whole cached prefix: at high
+        // hit rates the send() syscall per row WAS the serve cost.
+        std::string batch;
+        for (const CachedHit &h : hits) {
+            batch += rowFrame(id, request->experiment, h.trial, true,
+                              &h.outcome)
+                         .dump();
+            batch.push_back('\n');
+            request->rows.fetch_add(1, std::memory_order_relaxed);
+            request->cached.fetch_add(1, std::memory_order_relaxed);
+            metrics_.rowsStreamed.inc();
+            metrics_.rowsCached.inc();
+        }
+        session->sendRaw(batch);
+        metrics_.netFlushes.inc();
+        metrics_.netFlushedBytes.add(batch.size());
+        metrics_.netBatchedRows.add(hits.size());
+    }
+    finishOne(request);
 }
 
 void
@@ -752,25 +638,22 @@ Server::handleReserve(const std::shared_ptr<Session> &session,
     metrics_.reserves.inc();
     const Json *j = reqJson.find("jobs");
     if (!j || !j->isNumber() || j->isNegative()
-        || j->asU64() == 0) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest,
-                  "jobs must be a positive integer");
-        return;
-    }
+        || j->asU64() == 0)
+        return badRequest(session, id,
+                          "jobs must be a positive integer");
     auto n = static_cast<std::size_t>(j->asU64());
     if (!queue_.tryReserve(n)) {
         metrics_.reserveRejects.inc();
         if (stopping_.load()) {
             metrics_.rejectedShuttingDown.inc();
-            sendError(session, id, kErrShuttingDown,
-                      "server is draining");
+            session->send(errorFrame(id, kErrShuttingDown,
+                                     "server is draining"));
         } else {
             metrics_.rejectedOverloaded.inc();
-            sendError(session, id, kErrOverloaded,
-                      csprintf("cannot reserve %zu slots "
-                               "(capacity %zu)",
-                               n, queue_.capacity()));
+            session->send(errorFrame(
+                id, kErrOverloaded,
+                csprintf("cannot reserve %zu slots (capacity %zu)", n,
+                         queue_.capacity())));
         }
         return;
     }
@@ -780,9 +663,7 @@ Server::handleReserve(const std::shared_ptr<Session> &session,
         token = nextReservation_++;
         reservations_[token] = {n, session.get()};
     }
-    Json resp = Json::object();
-    resp.set("id", Json::number(id));
-    resp.set("ev", Json::str("reserved"));
+    Json resp = replyFrame(id, "reserved");
     resp.set("reservation", Json::number(token));
     resp.set("jobs", Json::number(static_cast<std::uint64_t>(n)));
     session->send(resp);
@@ -794,21 +675,16 @@ Server::handleRelease(const std::shared_ptr<Session> &session,
 {
     metrics_.releases.inc();
     const Json *j = reqJson.find("reservation");
-    if (!j || !j->isNumber() || j->isNegative()) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest,
-                  "reservation must be a non-negative integer");
-        return;
-    }
+    if (!j || !j->isNumber() || j->isNegative())
+        return badRequest(session, id,
+                          "reservation must be a non-negative integer");
     // Idempotent: releasing a settled (or never-issued) token
     // releases 0 — a router retrying a release after a timeout must
     // not get an error storm.
     std::size_t slots = takeReservation(j->asU64(), session.get());
     if (slots > 0)
         queue_.releaseReserved(slots);
-    Json resp = Json::object();
-    resp.set("id", Json::number(id));
-    resp.set("ev", Json::str("ok"));
+    Json resp = replyFrame(id, "ok");
     resp.set("released",
              Json::number(static_cast<std::uint64_t>(slots)));
     session->send(resp);
@@ -819,41 +695,37 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
                       std::uint64_t id, const Json &reqJson)
 {
     metrics_.runJobsReqs.inc();
-
     auto bad = [&](const std::string &msg) {
-        metrics_.badRequests.inc();
-        sendError(session, id, kErrBadRequest, msg);
+        badRequest(session, id, msg);
     };
 
+    TrialRequest trials;
     std::uint64_t reservation = 0;
     if (const Json *j = reqJson.find("reservation")) {
         if (!j->isNumber() || j->isNegative())
             return bad("reservation must be a non-negative integer");
         reservation = j->asU64();
     }
-    std::string experiment;
     if (const Json *j = reqJson.find("experiment")) {
         if (!j->isString())
             return bad("experiment must be a string");
-        experiment = j->asString();
+        trials.experiment = j->asString();
     }
-    std::optional<Clock::time_point> deadline;
     if (const Json *j = reqJson.find("deadline_ms")) {
         if (!j->isNumber() || j->isNegative())
             return bad("deadline_ms must be a non-negative number");
-        deadline = Clock::now()
-                   + std::chrono::milliseconds(j->asU64());
+        trials.deadlineMs = j->asU64();
     }
     // Batch-level default spec: jobs that omit their own "spec"
     // share this one, parsed once. A fan-out batch is usually one
     // sweep's slice, so this turns O(jobs) copies of the ~6 KB
     // canonical text into one per request.
     std::shared_ptr<RunSpec> defaultSpec;
+    std::string err;
     if (const Json *j = reqJson.find("spec")) {
         if (!j->isString())
             return bad("spec must be canonical spec text");
         defaultSpec = std::make_shared<RunSpec>();
-        std::string err;
         if (!parseRunSpec(j->asString(), *defaultSpec, err))
             return bad("bad spec: " + err);
     }
@@ -861,33 +733,25 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
     if (!jobsj || !jobsj->isArray() || jobsj->size() == 0)
         return bad("jobs must be a non-empty array");
 
-    auto request = std::make_shared<Request>();
-    request->session = session;
-    request->id = id;
-    request->experiment = experiment;
-    request->deadline = deadline;
-
     // Each entry names its trial explicitly (spec canonical text,
-    // seed, slowdown, unit/seq/trial coordinates), so the cache key
-    // computed here is byte-identical to the one a single-node
-    // submit or run_experiment of the same trial would use — the
-    // property that makes shard-local caches line up with the ring.
-    std::vector<CachedHit> hits;
-    std::vector<Job> jobs;
+    // seed, slowdown, unit/seq/trial coordinates), so its cache key
+    // is byte-identical to the one a single-node submit or
+    // run_experiment of the same trial would use.
+    trials.trials.resize(jobsj->size());
     for (std::size_t i = 0; i < jobsj->size(); ++i) {
         const Json &jj = jobsj->at(i);
+        Trial &t = trials.trials[i];
         if (!jj.isObject())
             return bad("jobs entries must be objects");
-        std::shared_ptr<RunSpec> spec;
         if (const Json *specj = jj.find("spec")) {
             if (!specj->isString())
                 return bad("job spec must be canonical spec text");
-            spec = std::make_shared<RunSpec>();
-            std::string err;
+            auto spec = std::make_shared<RunSpec>();
             if (!parseRunSpec(specj->asString(), *spec, err))
                 return bad("bad job spec: " + err);
+            t.spec = std::move(spec);
         } else if (defaultSpec) {
-            spec = defaultSpec;
+            t.spec = defaultSpec;
         } else {
             return bad("job has no spec and the request has no "
                        "default spec");
@@ -895,57 +759,32 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         const Json *seedj = jj.find("seed");
         if (!seedj || !seedj->isNumber() || seedj->isNegative())
             return bad("job seed must be a non-negative integer");
-        std::uint64_t seed = seedj->asU64();
-        bool slowdown = true;
+        t.seed = seedj->asU64();
         if (const Json *j = jj.find("slowdown")) {
             if (!j->isBool())
                 return bad("job slowdown must be a bool");
-            slowdown = j->asBool();
+            t.slowdown = j->asBool();
         }
-        std::uint64_t trial = i;
+        t.index = i;
         if (const Json *j = jj.find("trial")) {
             if (!j->isNumber() || j->isNegative())
                 return bad("job trial must be a non-negative "
                            "integer");
-            trial = j->asU64();
+            t.index = j->asU64();
         }
-        std::string unit;
         if (const Json *j = jj.find("unit")) {
             if (!j->isString())
                 return bad("job unit must be a string");
-            unit = j->asString();
+            t.unit = j->asString();
         }
-        std::uint64_t seq = trial;
+        t.seq = t.index;
         if (const Json *j = jj.find("seq")) {
             if (!j->isNumber() || j->isNegative())
                 return bad("job seq must be a non-negative integer");
-            seq = j->asU64();
-        }
-
-        std::string key = cacheKey(*spec, seed, slowdown);
-        RunOutcome out;
-        bool hit = cache_.lookup(key, out);
-        metrics_.recordCacheLookup(
-            experiment.empty() ? "_adhoc" : experiment, hit);
-        metrics_.recordCostBackend(costBackendStatName(*spec));
-        if (hit) {
-            hits.push_back(
-                {std::move(unit), seq, trial, seed, std::move(out)});
-        } else {
-            Job job;
-            job.req = request;
-            job.spec = std::move(spec);
-            job.seed = seed;
-            job.trial = trial;
-            job.slowdown = slowdown;
-            job.unit = std::move(unit);
-            job.seq = seq;
-            job.key = std::move(key);
-            jobs.push_back(std::move(job));
+            t.seq = j->asU64();
         }
     }
-    admitAndStream(session, id, request, std::move(jobs), hits,
-                   reservation);
+    admitTrials(session, id, std::move(trials), reservation);
 }
 
 std::size_t
@@ -981,105 +820,6 @@ Server::releaseSessionReservations(const Session *owner)
 }
 
 void
-Server::admitAndStream(const std::shared_ptr<Session> &session,
-                       std::uint64_t id,
-                       const std::shared_ptr<Request> &request,
-                       std::vector<Job> jobs,
-                       const std::vector<CachedHit> &hits,
-                       std::uint64_t reservation)
-{
-    // ---- Admit ATOMICALLY, before streaming anything --------------
-    // All-or-nothing: a sweep either fully fits the queue's free
-    // space or is rejected whole with `overloaded` — no partial
-    // sweeps wedged behind a full queue, and the client can simply
-    // retry the identical request later (the earlier trials will
-    // then be cache hits). A committed reservation substitutes its
-    // pre-claimed slots for the free-space check.
-    request->remaining.store(jobs.size() + 1);
-    std::size_t reservedSlots = 0;
-    if (reservation != 0) {
-        reservedSlots = takeReservation(reservation, session.get());
-        if (reservedSlots == 0) {
-            // Never issued, another session's, or already settled
-            // (committed, released, or voided at disconnect).
-            metrics_.badRequests.inc();
-            sendError(session, id, kErrBadRequest,
-                      "unknown reservation");
-            return;
-        }
-        if (jobs.size() > reservedSlots) {
-            queue_.releaseReserved(reservedSlots);
-            metrics_.badRequests.inc();
-            sendError(session, id, kErrBadRequest,
-                      csprintf("%zu jobs exceed reservation of %zu "
-                               "slots",
-                               jobs.size(), reservedSlots));
-            return;
-        }
-    }
-    if (!jobs.empty()) {
-        obs::ScopedSpan span("admit", "serve");
-        Clock::time_point now = Clock::now();
-        for (auto &j : jobs)
-            j.enqueued = now;
-        std::size_t n = jobs.size();
-        bool admitted =
-            reservation != 0
-                ? queue_.pushReserved(std::move(jobs), reservedSlots)
-                : queue_.tryPushAll(std::move(jobs));
-        if (!admitted) {
-            if (stopping_.load()) {
-                metrics_.rejectedShuttingDown.inc();
-                sendError(session, id, kErrShuttingDown,
-                          "server is draining");
-            } else {
-                metrics_.rejectedOverloaded.inc();
-                sendError(session, id, kErrOverloaded,
-                          csprintf("queue full (%zu jobs would "
-                                   "exceed capacity %zu)",
-                                   n, queue_.capacity()));
-            }
-            return;
-        }
-        metrics_.jobsInFlight.add(static_cast<std::int64_t>(n));
-        // Wake workers parked in nextJob(): the queue has its own
-        // cv, but dequeues are serialized on workCv_ (pause gate).
-        wakeWorkers();
-    } else if (reservedSlots > 0) {
-        // Every reserved trial became a cache hit between reserve
-        // and commit; hand the slots straight back.
-        queue_.releaseReserved(reservedSlots);
-    }
-
-    // ---- Stream cached rows, then release our +1 ------------------
-    if (!hits.empty()) {
-        obs::ScopedSpan span("stream", "serve");
-        // One coalesced write for the whole cached prefix: at high
-        // hit rates the send() syscall per row WAS the serve cost.
-        std::string batch;
-        for (const CachedHit &h : hits) {
-            Json row = Json::object();
-            setRowIdentity(row, request->experiment, id, h.unit,
-                           h.seq, h.trial, h.seed);
-            row.set("cached", Json::boolean(true));
-            row.set("host_s", Json::number(h.outcome.hostSeconds));
-            row.set("outcome", outcomeToJson(h.outcome));
-            batch += row.dump();
-            batch.push_back('\n');
-            request->rows.fetch_add(1, std::memory_order_relaxed);
-            request->cached.fetch_add(1, std::memory_order_relaxed);
-            metrics_.rowsStreamed.inc();
-            metrics_.rowsCached.inc();
-        }
-        session->sendRaw(batch);
-        metrics_.netFlushes.inc();
-        metrics_.netFlushedBytes.add(batch.size());
-        metrics_.netBatchedRows.add(hits.size());
-    }
-    finishOne(request);
-}
-
-void
 Server::workerLoop()
 {
     while (true) {
@@ -1099,15 +839,12 @@ Server::workerLoop()
         }
 
         const Request &req = *job->req;
-        Json row = Json::object();
-        setRowIdentity(row, req.experiment, req.id, job->unit,
-                       job->seq, job->trial, job->seed);
-
+        const Trial &t = job->trial;
+        Json row;
         bool expired =
             req.deadline && Clock::now() > *req.deadline;
         if (expired) {
-            row.set("cached", Json::boolean(false));
-            row.set("error", Json::str("deadline"));
+            row = rowFrame(req.id, req.experiment, t, false, nullptr);
             job->req->expired.fetch_add(1,
                                         std::memory_order_relaxed);
             metrics_.rowsExpired.inc();
@@ -1116,16 +853,13 @@ Server::workerLoop()
             RunOutcome out;
             {
                 obs::ScopedSpan span("run", "serve");
-                out = job->slowdown
-                          ? Runner::runWithSlowdown(*job->spec,
-                                                    job->seed)
-                          : Runner::runOne(*job->spec, job->seed);
+                out = t.slowdown
+                          ? Runner::runWithSlowdown(*t.spec, t.seed)
+                          : Runner::runOne(*t.spec, t.seed);
             }
             metrics_.runStage.record(usSince(t0));
             cache_.insert(job->key, out);
-            row.set("cached", Json::boolean(false));
-            row.set("host_s", Json::number(out.hostSeconds));
-            row.set("outcome", outcomeToJson(out));
+            row = rowFrame(req.id, req.experiment, t, false, &out);
             job->req->computed.fetch_add(
                 1, std::memory_order_relaxed);
             metrics_.rowsComputed.inc();
@@ -1150,20 +884,11 @@ Server::finishOne(const std::shared_ptr<Request> &req)
 {
     if (req->remaining.fetch_sub(1) != 1)
         return;
-    Json done = Json::object();
-    done.set("id", Json::number(req->id));
-    done.set("ev", Json::str("done"));
-    done.set("rows",
-             Json::number(req->rows.load(std::memory_order_relaxed)));
-    done.set("cached",
-             Json::number(
-                 req->cached.load(std::memory_order_relaxed)));
-    done.set("computed",
-             Json::number(
-                 req->computed.load(std::memory_order_relaxed)));
-    done.set("expired",
-             Json::number(
-                 req->expired.load(std::memory_order_relaxed)));
+    Json done = doneFrame(
+        req->id, req->rows.load(std::memory_order_relaxed),
+        req->cached.load(std::memory_order_relaxed),
+        req->computed.load(std::memory_order_relaxed),
+        req->expired.load(std::memory_order_relaxed));
     // Record before sending: a client that reads `done` and then
     // asks for stats must see this request in the latency counters.
     metrics_.request.record(usSince(req->start));

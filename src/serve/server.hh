@@ -51,6 +51,7 @@
 #include "base/json.hh"
 #include "serve/metrics.hh"
 #include "serve/result_cache.hh"
+#include "serve/wire.hh"
 
 namespace tw
 {
@@ -156,10 +157,9 @@ class Server
     std::optional<Job> nextJob();
     void handleLine(const std::shared_ptr<Session> &session,
                     const std::string &line);
-    void handleSubmit(const std::shared_ptr<Session> &session,
-                      std::uint64_t id, const Json &req);
-    void handleRunExperiment(const std::shared_ptr<Session> &session,
-                             std::uint64_t id, const Json &req);
+    /** Count and answer a bad_request. */
+    void badRequest(const std::shared_ptr<Session> &session,
+                    std::uint64_t id, const std::string &msg);
     void handleReserve(const std::shared_ptr<Session> &session,
                        std::uint64_t id, const Json &req);
     void handleRelease(const std::shared_ptr<Session> &session,
@@ -168,20 +168,17 @@ class Server
                        std::uint64_t id, const Json &req);
     struct CachedHit;
     /**
-     * Shared admission + cached-row streaming tail of submit,
-     * run_experiment, and run_jobs: all-or-nothing enqueue, then
-     * the hits in ONE coalesced write. A nonzero @p reservation is
-     * a token from `reserve` — the jobs consume its slots instead
-     * of competing for free space (two-phase commit; any excess,
-     * trials that became cache hits since the reserve, is
-     * released).
+     * The shared tail of submit, run_experiment and run_jobs: split
+     * the decoded @p trials into result-cache hits and jobs, admit
+     * the jobs all-or-nothing, then stream the hits in ONE coalesced
+     * write. A nonzero @p reservation is a token from `reserve` —
+     * the jobs consume its slots instead of competing for free
+     * space (two-phase commit; any excess, trials that became cache
+     * hits since the reserve, is released).
      */
-    void admitAndStream(const std::shared_ptr<Session> &session,
-                        std::uint64_t id,
-                        const std::shared_ptr<Request> &request,
-                        std::vector<Job> jobs,
-                        const std::vector<CachedHit> &hits,
-                        std::uint64_t reservation = 0);
+    void admitTrials(const std::shared_ptr<Session> &session,
+                     std::uint64_t id, TrialRequest trials,
+                     std::uint64_t reservation = 0);
     /** Remove reservation @p token owned by @p owner from the map,
      *  returning its slot count (0 when unknown/not-owned). Does
      *  NOT touch the queue's reserved space — callers either
@@ -193,9 +190,6 @@ class Server
      *  slots). */
     void releaseSessionReservations(const Session *owner);
     void finishOne(const std::shared_ptr<Request> &req);
-    void sendError(const std::shared_ptr<Session> &session,
-                   std::uint64_t id, const char *code,
-                   const std::string &msg);
     /** Notify workCv_ without losing the wakeup (see definition). */
     void wakeWorkers();
 

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "base/logging.hh"
-#include "harness/experiment.hh"
 #include "harness/specio.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -64,6 +63,10 @@ rc()
     return c;
 }
 
+/** How long a drain waits for slow readers to take the rows they
+ *  were admitted for — the Server's default send timeout. */
+constexpr std::chrono::seconds kDrainFlushTimeout{30};
+
 } // anonymous namespace
 
 /** Common epoll-tag head: every registered pointer starts with a
@@ -101,16 +104,13 @@ struct Router::WorkerLink : Io
     bool awaitingPong = false;
 };
 
-/** One trial, planned and fingerprinted at the front door. */
+/** One trial, planned and fingerprinted at the front door. Trials
+ *  of one spec share its canonical text. */
 struct Router::PlannedJob
 {
-    std::string specText;
+    std::shared_ptr<const std::string> specText;
     std::uint64_t fingerprint = 0;
-    std::uint64_t seed = 0;
-    bool slowdown = true;
-    std::string unit;
-    std::uint64_t seq = 0;
-    std::uint64_t trial = 0;
+    Trial trial;
 };
 
 /** One client request fanned over the ring: per-shard two-phase
@@ -281,6 +281,7 @@ Router::loop()
         std::chrono::milliseconds(std::max(1u, cfg_.healthIntervalMs));
     Clock::time_point lastTick = Clock::now();
     bool listenersClosed = false;
+    std::optional<Clock::time_point> flushDeadline;
 
     while (true) {
         if (stopping_.load() && !listenersClosed) {
@@ -294,8 +295,18 @@ Router::loop()
             ::unlink(cfg_.socketPath.c_str());
             listenersClosed = true;
         }
-        if (stopping_.load() && pendings_.empty() && fans_.empty())
-            break;
+        if (stopping_.load() && pendings_.empty() && fans_.empty()) {
+            // Every admitted request has finished, but a slow
+            // reader may still hold rows and its `done` in our
+            // buffer: keep flushing (bounded) before closing.
+            if (!flushDeadline)
+                flushDeadline = Clock::now() + kDrainFlushTimeout;
+            bool unflushed = false;
+            for (const auto &c : clients_)
+                unflushed |= !c->conn.dead && c->conn.pendingOut() > 0;
+            if (!unflushed || Clock::now() >= *flushDeadline)
+                break;
+        }
 
         if (Clock::now() - lastTick >= interval) {
             tick();
@@ -587,15 +598,11 @@ Router::sendToClient(ClientConn *c, const Json &j)
 }
 
 void
-Router::sendClientError(ClientConn *c, std::uint64_t id,
-                        const char *code, const std::string &msg)
+Router::badRequest(ClientConn *c, std::uint64_t id,
+                   const std::string &msg)
 {
-    Json j = Json::object();
-    j.set("id", Json::number(id));
-    j.set("ev", Json::str("error"));
-    j.set("code", Json::str(code));
-    j.set("msg", Json::str(msg));
-    sendToClient(c, j);
+    rc().badRequests.inc();
+    sendToClient(c, errorFrame(id, kErrBadRequest, msg));
 }
 
 std::uint64_t
@@ -613,38 +620,19 @@ Router::sendWorkerOp(WorkerLink &w, Json req, OpRef ref)
 void
 Router::handleClientLine(ClientConn *c, const std::string &line)
 {
-    Json req;
+    RequestLine req;
     std::string err;
-    if (!Json::parse(line, req, &err) || !req.isObject()) {
-        rc().badRequests.inc();
-        sendClientError(c, 0, kErrBadRequest,
-                        "unparseable request: " + err);
-        return;
-    }
-    std::uint64_t id = 0;
-    if (const Json *j = req.find("id"); j && j->isNumber())
-        id = j->asU64();
-    const Json *opj = req.find("op");
-    if (!opj || !opj->isString()) {
-        rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, "missing op");
-        return;
-    }
-    const std::string &op = opj->asString();
+    if (!decodeRequestLine(line, req, err))
+        return badRequest(c, req.id, err);
+    const std::uint64_t id = req.id;
+    const std::string &op = req.op;
 
-    if (op == "submit") {
-        handleSubmit(c, id, req);
-        return;
-    }
-    if (op == "run_experiment") {
-        handleRunExperiment(c, id, req);
+    if (op == "submit" || op == "run_experiment") {
+        handleTrials(c, req);
         return;
     }
     if (op == "ping") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("pong"));
-        sendToClient(c, resp);
+        sendToClient(c, replyFrame(id, "pong"));
         return;
     }
     if (op == "stats") {
@@ -656,162 +644,72 @@ Router::handleClientLine(ClientConn *c, const std::string &line)
         return;
     }
     if (op == "metrics") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("metrics"));
-        bool prom = false;
-        if (const Json *j = req.find("format"); j && j->isString())
-            prom = j->asString() == "prom";
-        if (prom)
-            resp.set("prom", Json::str(obs::registry().promText()));
-        else
-            resp.set("metrics", obs::registry().snapshotJson());
-        sendToClient(c, resp);
+        sendToClient(c, metricsFrame(id, req.json));
         return;
     }
     if (op == "shutdown") {
-        Json resp = Json::object();
-        resp.set("id", Json::number(id));
-        resp.set("ev", Json::str("ok"));
-        sendToClient(c, resp);
+        sendToClient(c, replyFrame(id, "ok"));
         requestStop();
         return;
     }
-    rc().badRequests.inc();
-    sendClientError(c, id, kErrBadRequest,
-                    "unknown op '" + op + "'");
+    badRequest(c, id, "unknown op '" + op + "'");
 }
 
 void
-Router::handleSubmit(ClientConn *c, std::uint64_t id,
-                     const Json &reqJson)
+Router::handleTrials(ClientConn *c, const RequestLine &req)
 {
-    rc().submits.inc();
+    (req.op == "submit" ? rc().submits : rc().runExperiments).inc();
     obs::ScopedSpan span("route", "router");
 
-    auto bad = [&](const std::string &msg) {
-        rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, msg);
-    };
-
-    const Json *specj = reqJson.find("spec");
-    if (!specj)
-        return bad("missing spec");
-    RunSpec spec;
+    TrialRequest trials;
     std::string err;
-    if (specj->isString()) {
-        if (!parseRunSpec(specj->asString(), spec, err))
-            return bad("bad spec: " + err);
-    } else if (specj->isObject()) {
-        if (!specFromJson(*specj, spec, err))
-            return bad("bad spec: " + err);
-    } else {
-        return bad("spec must be an object or canonical text");
+    if (!decodeTrials(req, trials, err))
+        return badRequest(c, req.id, err);
+    // Fingerprint every trial the way its owner's ResultCache keys
+    // it. A submit's seeds share one spec, so its canonical text is
+    // formatted once; an experiment's jobs each bring their own.
+    std::vector<PlannedJob> jobs(trials.trials.size());
+    const RunSpec *formatted = nullptr;
+    std::shared_ptr<const std::string> text;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        Trial &t = trials.trials[i];
+        if (t.spec.get() != formatted) {
+            formatted = t.spec.get();
+            text = std::make_shared<const std::string>(
+                formatRunSpec(*t.spec));
+        }
+        jobs[i].specText = text;
+        jobs[i].fingerprint =
+            specFingerprint(*t.spec, t.seed, t.slowdown);
+        jobs[i].trial = std::move(t);
     }
-
-    const Json *seedsj = reqJson.find("seeds");
-    if (!seedsj || !seedsj->isArray() || seedsj->size() == 0)
-        return bad("seeds must be a non-empty array");
-    std::vector<std::uint64_t> seeds;
-    seeds.reserve(seedsj->size());
-    for (std::size_t i = 0; i < seedsj->size(); ++i) {
-        const Json &s = seedsj->at(i);
-        if (!s.isNumber() || s.isNegative())
-            return bad("seeds must be non-negative integers");
-        seeds.push_back(s.asU64());
-    }
-    bool slowdown = true;
-    if (const Json *j = reqJson.find("slowdown")) {
-        if (!j->isBool())
-            return bad("slowdown must be a bool");
-        slowdown = j->asBool();
-    }
-    const Json *deadline = reqJson.find("deadline_ms");
-    if (deadline && (!deadline->isNumber() || deadline->isNegative()))
-        return bad("deadline_ms must be a non-negative number");
-
-    std::string text = formatRunSpec(spec);
-    std::vector<PlannedJob> jobs;
-    jobs.reserve(seeds.size());
-    for (std::size_t t = 0; t < seeds.size(); ++t) {
-        PlannedJob pj;
-        pj.specText = text;
-        pj.fingerprint = specFingerprint(spec, seeds[t], slowdown);
-        pj.seed = seeds[t];
-        pj.slowdown = slowdown;
-        pj.seq = t;
-        pj.trial = t;
-        jobs.push_back(std::move(pj));
-    }
-    startRequest(c, id, "", std::move(jobs), deadline);
-}
-
-void
-Router::handleRunExperiment(ClientConn *c, std::uint64_t id,
-                            const Json &reqJson)
-{
-    rc().runExperiments.inc();
-    obs::ScopedSpan span("route", "router");
-
-    auto bad = [&](const std::string &msg) {
-        rc().badRequests.inc();
-        sendClientError(c, id, kErrBadRequest, msg);
-    };
-
-    const Json *ej = reqJson.find("experiment");
-    if (!ej || !ej->isString())
-        return bad("missing experiment");
-    const ExperimentDef *def =
-        ExperimentRegistry::instance().find(ej->asString());
-    if (!def)
-        return bad("unknown experiment '" + ej->asString() + "'");
-    unsigned scaleOverride = 0;
-    if (const Json *j = reqJson.find("scale")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("scale must be a non-negative number");
-        scaleOverride = static_cast<unsigned>(j->asU64());
-    }
-    unsigned scale = experimentScale(*def, scaleOverride);
-
-    // The SAME enumeration a single twserved (or a local
-    // bench_driver) runs — seq dense from 0 — which is exactly what
-    // lets the merge reorder on seq and come out bit-identical.
-    std::vector<ExperimentJob> plan = experimentJobs(*def, scale);
-    std::vector<PlannedJob> jobs;
-    jobs.reserve(plan.size());
-    for (ExperimentJob &ej2 : plan) {
-        PlannedJob pj;
-        pj.specText = formatRunSpec(ej2.spec);
-        pj.fingerprint =
-            specFingerprint(ej2.spec, ej2.seed, ej2.withSlowdown);
-        pj.seed = ej2.seed;
-        pj.slowdown = ej2.withSlowdown;
-        pj.unit = std::move(ej2.unit);
-        pj.seq = ej2.seq;
-        pj.trial = ej2.trial;
-        jobs.push_back(std::move(pj));
-    }
-    if (jobs.empty())
-        return bad("experiment has no jobs");
-    startRequest(c, id, def->name, std::move(jobs), nullptr);
+    startRequest(c, req.id, std::move(trials.experiment),
+                 std::move(jobs), trials.deadlineMs);
 }
 
 void
 Router::startRequest(ClientConn *c, std::uint64_t id,
                      std::string experiment,
                      std::vector<PlannedJob> jobs,
-                     const Json *deadline_ms)
+                     std::optional<std::uint64_t> deadline_ms)
 {
+    if (jobs.empty()) {
+        // Nothing to fan out (an experiment with no jobs): answer at
+        // once, as a single Server does. A pending request with no
+        // parts would never finish.
+        sendToClient(c, doneFrame(id, 0, 0, 0, 0));
+        return;
+    }
     if (stopping_.load()) {
         rc().rejected.inc();
-        sendClientError(c, id, kErrShuttingDown,
-                        "router is draining");
+        sendToClient(c, errorFrame(id, kErrShuttingDown,
+                                   "router is draining"));
         return;
     }
     if (map_.empty()) {
         rc().rejected.inc();
-        sendClientError(c, id, kErrShardFailed,
-                        "no shards available");
+        sendToClient(c, errorFrame(id, kErrShardFailed,
+                                   "no shards available"));
         return;
     }
 
@@ -820,8 +718,7 @@ Router::startRequest(ClientConn *c, std::uint64_t id,
     p->clientId = id;
     p->experiment = std::move(experiment);
     p->totalJobs = jobs.size();
-    if (deadline_ms)
-        p->deadlineMs = deadline_ms->asU64();
+    p->deadlineMs = deadline_ms;
 
     // Group by ring owner. Member order is the sorted member set,
     // so part order is deterministic too.
@@ -880,19 +777,22 @@ Router::commitPending(Pending &p)
         // wire (~6 KB vs ~100 B of coordinates per job). Hoist the
         // first job's spec to the batch default and only spell out
         // per-job specs that differ (mixed-spec experiment slices).
-        const std::string &defaultSpec = part.jobs.front().specText;
-        req.set("spec", Json::str(defaultSpec));
+        const std::shared_ptr<const std::string> &defaultSpec =
+            part.jobs.front().specText;
+        req.set("spec", Json::str(*defaultSpec));
         Json jobs = Json::array();
         for (const PlannedJob &pj : part.jobs) {
+            const Trial &t = pj.trial;
             Json j = Json::object();
-            if (pj.specText != defaultSpec)
-                j.set("spec", Json::str(pj.specText));
-            j.set("seed", Json::number(pj.seed));
-            j.set("slowdown", Json::boolean(pj.slowdown));
-            if (!pj.unit.empty())
-                j.set("unit", Json::str(pj.unit));
-            j.set("seq", Json::number(pj.seq));
-            j.set("trial", Json::number(pj.trial));
+            if (pj.specText != defaultSpec
+                && *pj.specText != *defaultSpec)
+                j.set("spec", Json::str(*pj.specText));
+            j.set("seed", Json::number(t.seed));
+            j.set("slowdown", Json::boolean(t.slowdown));
+            if (!t.unit.empty())
+                j.set("unit", Json::str(t.unit));
+            j.set("seq", Json::number(t.seq));
+            j.set("trial", Json::number(t.index));
             jobs.push(std::move(j));
         }
         req.set("jobs", std::move(jobs));
@@ -913,7 +813,7 @@ Router::failPending(Pending &p, const char *code,
     if (!p.failed) {
         p.failed = true;
         if (p.client)
-            sendClientError(p.client, p.clientId, code, msg);
+            sendToClient(p.client, errorFrame(p.clientId, code, msg));
         rc().rejected.inc();
     }
     p.buffered.clear();
@@ -967,14 +867,8 @@ Router::finishPending(Pending &p)
         emitReadyRows(p);
         // Stragglers (a seq gap from a dropped row) would stall the
         // cursor; a non-failed request has none by construction.
-        Json done = Json::object();
-        done.set("id", Json::number(p.clientId));
-        done.set("ev", Json::str("done"));
-        done.set("rows", Json::number(p.rows));
-        done.set("cached", Json::number(p.cached));
-        done.set("computed", Json::number(p.computed));
-        done.set("expired", Json::number(p.expired));
-        sendToClient(p.client, done);
+        sendToClient(p.client, doneFrame(p.clientId, p.rows, p.cached,
+                                         p.computed, p.expired));
     }
     if (p.client)
         p.client->pendings.erase(&p);
@@ -1197,10 +1091,8 @@ Router::finishFan(AdminFan &f)
     if (f.outstanding > 0)
         return;
     if (f.client) {
-        Json resp = Json::object();
-        resp.set("id", Json::number(f.clientId));
+        Json resp = replyFrame(f.clientId, f.stats ? "stats" : "ok");
         if (f.stats) {
-            resp.set("ev", Json::str("stats"));
             Json stats = Json::object();
             stats.set("role", Json::str("router"));
             stats.set("router", routerStatsJson());
@@ -1232,8 +1124,6 @@ Router::finishFan(AdminFan &f)
             stats.set("experiments", std::move(exps));
             stats.set("shards", f.shards);
             resp.set("stats", std::move(stats));
-        } else {
-            resp.set("ev", Json::str("ok"));
         }
         sendToClient(f.client, resp);
         f.client->fans.erase(&f);

@@ -6,7 +6,11 @@
  *
  * Clients do not change AT ALL: twctl, serve::Client, and anything
  * else speaking NDJSON submit/run_experiment sees one server with a
- * bigger queue and a bigger cache. Behind the socket:
+ * bigger queue and a bigger cache. Requests are decoded, and replies
+ * framed, by the same codec a single twserved uses (serve/wire.hh),
+ * so both answer with the same bytes — an experiment with no jobs
+ * gets its zero-count `done` here too, without any fan-out. Behind
+ * the socket:
  *
  *   client ──► Router (epoll loop, serve::Poller)
  *                │ enumerate trials, fingerprint each
@@ -37,6 +41,8 @@
  * rows for it are dropped, and the shard leaves the ring (minimal
  * remap) until a health-checked reconnect brings it back. Committed
  * survivors finish server-side and warm their caches for the retry.
+ * A drain lets admitted requests finish, then flushes what live
+ * clients have yet to read before it closes them.
  */
 
 #ifndef TW_SERVE_SHARD_ROUTER_HH
@@ -47,6 +53,7 @@
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -65,6 +72,8 @@ namespace serve
  *  death or an empty ring). Worker-originated rejections keep the
  *  worker's own code (`overloaded`, `shutting_down`). */
 inline constexpr const char *kErrShardFailed = "shard_failed";
+
+struct RequestLine;
 
 struct RouterConfig
 {
@@ -106,8 +115,9 @@ class Router
     bool start(std::string *err = nullptr);
 
     /** Begin graceful drain: stop accepting, reject new work with
-     *  shutting_down, let in-flight requests finish. Idempotent;
-     *  callable from signal-watcher threads. */
+     *  shutting_down, let in-flight requests finish, and flush their
+     *  rows to clients that read slowly (for up to 30 s) before
+     *  closing. Idempotent; callable from signal-watcher threads. */
     void requestStop();
 
     /** Block until a requested stop has fully drained. */
@@ -165,18 +175,17 @@ class Router
     void handleClientLine(ClientConn *c, const std::string &line);
     void handleWorkerLine(WorkerLink *w, const std::string &line);
     void sendToClient(ClientConn *c, const Json &j);
-    void sendClientError(ClientConn *c, std::uint64_t id,
-                         const char *code, const std::string &msg);
+    /** Count and answer a bad_request. */
+    void badRequest(ClientConn *c, std::uint64_t id,
+                    const std::string &msg);
     std::uint64_t sendWorkerOp(WorkerLink &w, Json req, OpRef ref);
 
-    void handleSubmit(ClientConn *c, std::uint64_t id,
-                      const Json &req);
-    void handleRunExperiment(ClientConn *c, std::uint64_t id,
-                             const Json &req);
+    /** submit / run_experiment: decode, fingerprint, fan out. */
+    void handleTrials(ClientConn *c, const RequestLine &req);
     void startRequest(ClientConn *c, std::uint64_t id,
                       std::string experiment,
                       std::vector<PlannedJob> jobs,
-                      const Json *deadline_ms);
+                      std::optional<std::uint64_t> deadline_ms);
     void startFan(ClientConn *c, std::uint64_t id, bool stats);
 
     void commitPending(Pending &p);

@@ -9,11 +9,267 @@
 #include <unistd.h>
 
 #include "base/logging.hh"
+#include "harness/experiment.hh"
+#include "harness/specio.hh"
+#include "obs/metrics.hh"
 
 namespace tw
 {
 namespace serve
 {
+
+// ---------------------------------------------------------------
+// Request decoding
+// ---------------------------------------------------------------
+
+bool
+decodeRequestLine(const std::string &line, RequestLine &out,
+                  std::string &err)
+{
+    out.id = 0;
+    std::string perr;
+    if (!Json::parse(line, out.json, &perr) || !out.json.isObject()) {
+        err = "unparseable request: " + perr;
+        return false;
+    }
+    if (const Json *j = out.json.find("id"); j && j->isNumber())
+        out.id = j->asU64();
+    const Json *op = out.json.find("op");
+    if (!op || !op->isString()) {
+        err = "missing op";
+        return false;
+    }
+    out.op = op->asString();
+    return true;
+}
+
+namespace
+{
+
+/** Fail a decode with the bad_request message @p msg. */
+bool
+bad(std::string &err, std::string msg)
+{
+    err = std::move(msg);
+    return false;
+}
+
+bool
+decodeSubmit(const Json &req, TrialRequest &out, std::string &err)
+{
+    const Json *specj = req.find("spec");
+    if (!specj)
+        return bad(err, "missing spec");
+    auto spec = std::make_shared<RunSpec>();
+    std::string perr;
+    if (specj->isString()) {
+        // Canonical text pass-through (what twctl sends).
+        if (!parseRunSpec(specj->asString(), *spec, perr))
+            return bad(err, "bad spec: " + perr);
+    } else if (specj->isObject()) {
+        if (!specFromJson(*specj, *spec, perr))
+            return bad(err, "bad spec: " + perr);
+    } else {
+        return bad(err, "spec must be an object or canonical text");
+    }
+
+    const Json *seedsj = req.find("seeds");
+    if (!seedsj || !seedsj->isArray() || seedsj->size() == 0)
+        return bad(err, "seeds must be a non-empty array");
+    std::vector<std::uint64_t> seeds;
+    seeds.reserve(seedsj->size());
+    for (std::size_t i = 0; i < seedsj->size(); ++i) {
+        const Json &s = seedsj->at(i);
+        // asU64 clamps negative lexemes to 0 instead of wrapping; a
+        // clamped seed would silently compute the wrong trial.
+        if (!s.isNumber() || s.isNegative())
+            return bad(err, "seeds must be non-negative integers");
+        seeds.push_back(s.asU64());
+    }
+    bool slowdown = true;
+    if (const Json *j = req.find("slowdown")) {
+        if (!j->isBool())
+            return bad(err, "slowdown must be a bool");
+        slowdown = j->asBool();
+    }
+    if (const Json *j = req.find("deadline_ms")) {
+        if (!j->isNumber() || j->isNegative())
+            return bad(err, "deadline_ms must be a non-negative number");
+        out.deadlineMs = j->asU64();
+    }
+
+    out.trials.resize(seeds.size());
+    for (std::size_t t = 0; t < seeds.size(); ++t) {
+        Trial &trial = out.trials[t];
+        trial.spec = spec;
+        trial.seed = seeds[t];
+        trial.slowdown = slowdown;
+        trial.seq = trial.index = t;
+    }
+    return true;
+}
+
+bool
+decodeRunExperiment(const Json &req, TrialRequest &out,
+                    std::string &err)
+{
+    const Json *ej = req.find("experiment");
+    if (!ej || !ej->isString())
+        return bad(err, "missing experiment");
+    const ExperimentDef *def =
+        ExperimentRegistry::instance().find(ej->asString());
+    if (!def)
+        return bad(err, "unknown experiment '" + ej->asString() + "'");
+    unsigned scaleOverride = 0;
+    if (const Json *j = req.find("scale")) {
+        if (!j->isNumber() || j->isNegative())
+            return bad(err, "scale must be a non-negative number");
+        scaleOverride = static_cast<unsigned>(j->asU64());
+    }
+
+    // The SAME deterministic enumeration bench_driver runs locally:
+    // units in grid order, trials in plan order, seq dense from 0.
+    // Each trial's cache key is the one a local run would use, so a
+    // served experiment and a local one share ResultCache entries,
+    // and a Router's merge can reorder on seq. Adaptive plans
+    // (TrialPlan::stopWhen) do not perturb this: experimentJobs
+    // always enumerates the FULL seed list — the upper bound an
+    // adaptive local run may stop short of — so all-or-nothing
+    // admission sizes against a known worst case.
+    out.experiment = def->name;
+    std::vector<ExperimentJob> jobs =
+        experimentJobs(*def, experimentScale(*def, scaleOverride));
+    out.trials.resize(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        ExperimentJob &job = jobs[i];
+        Trial &t = out.trials[i];
+        t.spec = std::make_shared<const RunSpec>(std::move(job.spec));
+        t.seed = job.seed;
+        t.slowdown = job.withSlowdown;
+        t.unit = std::move(job.unit);
+        t.seq = job.seq;
+        t.index = job.trial;
+    }
+    return true;
+}
+
+} // anonymous namespace
+
+bool
+decodeTrials(const RequestLine &req, TrialRequest &out,
+             std::string &err)
+{
+    out = TrialRequest{};
+    if (req.op == "submit")
+        return decodeSubmit(req.json, out, err);
+    if (req.op == "run_experiment")
+        return decodeRunExperiment(req.json, out, err);
+    err = "unknown op '" + req.op + "'";
+    return false;
+}
+
+// ---------------------------------------------------------------
+// Reply frames
+// ---------------------------------------------------------------
+
+Json
+replyFrame(std::uint64_t id, const char *ev)
+{
+    Json j = Json::object();
+    j.set("id", Json::number(id));
+    j.set("ev", Json::str(ev));
+    return j;
+}
+
+Json
+errorFrame(std::uint64_t id, const char *code, const std::string &msg)
+{
+    Json j = replyFrame(id, "error");
+    j.set("code", Json::str(code));
+    j.set("msg", Json::str(msg));
+    return j;
+}
+
+Json
+doneFrame(std::uint64_t id, std::uint64_t rows, std::uint64_t cached,
+          std::uint64_t computed, std::uint64_t expired)
+{
+    Json j = replyFrame(id, "done");
+    j.set("rows", Json::number(rows));
+    j.set("cached", Json::number(cached));
+    j.set("computed", Json::number(computed));
+    j.set("expired", Json::number(expired));
+    return j;
+}
+
+Json
+metricsFrame(std::uint64_t id, const Json &req)
+{
+    Json j = replyFrame(id, "metrics");
+    const Json *format = req.find("format");
+    if (format && format->isString() && format->asString() == "prom")
+        j.set("prom", Json::str(obs::registry().promText()));
+    else
+        j.set("metrics", obs::registry().snapshotJson());
+    return j;
+}
+
+Json
+rowFrame(std::uint64_t id, const std::string &experiment,
+         const Trial &t, bool cached, const RunOutcome *outcome)
+{
+    Json row = replyFrame(id, "row");
+    if (!experiment.empty()) {
+        row.set("experiment", Json::str(experiment));
+        row.set("unit", Json::str(t.unit));
+        row.set("seq", Json::number(t.seq));
+    }
+    row.set("trial", Json::number(t.index));
+    row.set("seed", Json::number(t.seed));
+    row.set("cached", Json::boolean(cached));
+    if (outcome) {
+        row.set("host_s", Json::number(outcome->hostSeconds));
+        row.set("outcome", outcomeToJson(*outcome));
+    } else {
+        row.set("error", Json::str("deadline"));
+    }
+    return row;
+}
+
+bool
+decodeRow(const Json &frame, SweepRow &out, std::string &err)
+{
+    if (const Json *j = frame.find("unit"))
+        out.unit = j->asString();
+    if (const Json *j = frame.find("seq"))
+        out.seq = j->asU64();
+    if (const Json *j = frame.find("trial"))
+        out.trial = j->asU64();
+    if (const Json *j = frame.find("seed"))
+        out.seed = j->asU64();
+    if (const Json *j = frame.find("cached"))
+        out.cached = j->asBool();
+    if (const Json *j = frame.find("host_s"))
+        out.hostSeconds = j->asDouble();
+    if (frame.find("error")) {
+        out.expired = true;
+        return true;
+    }
+    if (const Json *j = frame.find("outcome")) {
+        std::string oerr;
+        if (!outcomeFromJson(*j, out.outcome, oerr)) {
+            err = "bad outcome row: " + oerr;
+            return false;
+        }
+        // hostSeconds travels outside the canonical text.
+        out.outcome.hostSeconds = out.hostSeconds;
+    }
+    return true;
+}
+
+// ---------------------------------------------------------------
+// Framing and sockets
+// ---------------------------------------------------------------
 
 bool
 sendAll(int fd, const char *data, std::size_t len)

@@ -20,7 +20,7 @@
  * The resulting speed regime sits between the two main techniques:
  * a per-reference floor like trace-driven (but much lower), and
  * miss-proportional growth like trap-driven (but with a cheaper
- * handler). bench_hybrid shows the crossovers.
+ * handler). `bench_driver --run hybrid` shows the crossovers.
  */
 
 #ifndef TW_TRACE_HYBRID_HH

@@ -9,26 +9,34 @@
 namespace tw
 {
 
-void
-StreamParams::validate() const
+std::string
+StreamParams::check() const
 {
     if (textBytes < 256 || textBytes % kWordBytes != 0)
-        fatal("stream: text size %llu unusable",
-              static_cast<unsigned long long>(textBytes));
+        return csprintf("stream: text size %llu unusable",
+                        static_cast<unsigned long long>(textBytes));
     if (base % kHostPageBytes != 0)
-        fatal("stream: text base must be page aligned");
+        return "stream: text base must be page aligned";
     std::uint64_t prev = 0;
     for (const auto &lvl : ladder) {
         if (lvl.spanBytes <= prev)
-            fatal("stream: ladder spans must be strictly ascending");
+            return "stream: ladder spans must be strictly ascending";
         if (lvl.spanBytes % kWordBytes != 0)
-            fatal("stream: span must be word aligned");
+            return "stream: span must be word aligned";
         if (lvl.spanBytes > textBytes)
-            fatal("stream: span exceeds text size");
+            return "stream: span exceeds text size";
         if (lvl.meanReps < 1.0)
-            fatal("stream: mean reps below 1");
+            return "stream: mean reps below 1";
         prev = lvl.spanBytes;
     }
+    return {};
+}
+
+void
+StreamParams::validate() const
+{
+    if (std::string why = check(); !why.empty())
+        fatal("%s", why.c_str());
 }
 
 std::vector<LoopLevel>

@@ -22,6 +22,7 @@
 #ifndef TW_WORKLOAD_LOOP_NEST_HH
 #define TW_WORKLOAD_LOOP_NEST_HH
 
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
@@ -53,7 +54,11 @@ struct StreamParams
      *  workload itself is identical across trials. */
     std::uint64_t seed = 1;
 
-    /** Abort (fatal) if the ladder is malformed. */
+    /** Why no stream can be built from these; empty when one
+     *  can. */
+    std::string check() const;
+
+    /** Abort (fatal) with check()'s reason, if any. */
     void validate() const;
 };
 

@@ -31,6 +31,21 @@ sampleSpec()
     return spec;
 }
 
+/** @p j with the member at dotted @p path replaced by @p value. */
+Json
+withField(Json j, const std::string &path, Json value)
+{
+    std::size_t dot = path.find('.');
+    if (dot == std::string::npos) {
+        j.set(path, std::move(value));
+        return j;
+    }
+    std::string head = path.substr(0, dot);
+    j.set(head, withField(*j.find(head), path.substr(dot + 1),
+                          std::move(value)));
+    return j;
+}
+
 /** A spec with every enum off its default and odd values in the
  *  corners the canonical form must carry exactly. */
 RunSpec
@@ -57,7 +72,9 @@ contortedSpec()
     spec.c2k.sampleDenom = 7;
     spec.pixie.genCycles = 99;
     spec.traceTarget = kFirstUserTaskId + 3;
-    spec.workload.binaries.at(0).ladder.at(0).meanReps = 0.1;
+    // Inexact in binary, and still a runnable ladder (a stream
+    // refuses mean reps below 1, and so does the parser).
+    spec.workload.binaries.at(0).ladder.at(0).meanReps = 1.1;
     return spec;
 }
 
@@ -194,23 +211,33 @@ TEST(SpecIo, StrictParseRejectsBadEnumValue)
 
 TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
 {
-    // Both are well-formed numbers the engine cannot run: the store
-    // split divides by storeEvery, and a zero quantum never ends a
-    // run. They must fail the parse, never reach a System.
-    const std::pair<const char *, const char *> kZeroes[] = {
-        {"workload", "storeEvery"},
-        {"sys", "quantumInstr"},
+    // Well-formed values the engine cannot run: the store split
+    // divides by storeEvery, a zero quantum never ends a run, and
+    // the rest fatal() or abort building the cache, a stream or the
+    // System. They must fail the parse, never reach a System.
+    struct Case
+    {
+        const char *path;
+        Json value;
+        const char *needle; //!< expected in the error
     };
-    for (const auto &[parent, key] : kZeroes) {
-        Json j = specToJson(sampleSpec());
-        Json sub = *j.find(parent);
-        sub.set(key, Json::number(0u));
-        j.set(parent, std::move(sub));
+    const Case kCases[] = {
+        {"workload.storeEvery", Json::number(0u), "storeEvery"},
+        {"sys.quantumInstr", Json::number(0u), "quantumInstr"},
+        {"tw.cache.lineBytes", Json::number(12u), "line (12)"},
+        {"workload.kernelText.textBytes", Json::number(100u),
+         "text size 100"},
+        {"sys.clockInterval", Json::number(0u), "clockInterval"},
+        {"workload.binaries", Json::array(), "binaries"},
+        {"workload.taskCount", Json::number(0u), "taskCount"},
+    };
+    for (const Case &c : kCases) {
+        Json j = withField(specToJson(sampleSpec()), c.path, c.value);
         RunSpec out;
         std::string err;
-        EXPECT_FALSE(specFromJson(j, out, err)) << key;
-        EXPECT_NE(err.find(key), std::string::npos) << err;
-        EXPECT_FALSE(parseRunSpec(j.dump(), out, err)) << key;
+        EXPECT_FALSE(specFromJson(j, out, err)) << c.path;
+        EXPECT_NE(err.find(c.needle), std::string::npos) << err;
+        EXPECT_FALSE(parseRunSpec(j.dump(), out, err)) << c.path;
     }
 }
 

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -25,6 +26,7 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/shard/router.hh"
+#include "serve/wire.hh"
 
 namespace tw
 {
@@ -181,17 +183,21 @@ TEST(Router, ExperimentMatchesSingleNodeRowForRow)
     ASSERT_TRUE(pooled.connectUnix(pool.routerPath, &err)) << err;
     ASSERT_TRUE(direct.connectUnix(scfg.socketPath, &err)) << err;
 
-    ExperimentResult a = pooled.runExperiment("smoke", 4000);
-    ExperimentResult b = direct.runExperiment("smoke", 4000);
-    ASSERT_TRUE(a.ok) << a.errorCode << " " << a.errorMsg;
-    ASSERT_TRUE(b.ok) << b.errorMsg;
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (std::size_t i = 0; i < a.rows.size(); ++i) {
-        EXPECT_EQ(a.rows[i].seq, b.rows[i].seq);
-        EXPECT_EQ(a.rows[i].unit, b.rows[i].unit);
-        EXPECT_EQ(a.rows[i].seed, b.rows[i].seed);
-        EXPECT_EQ(formatRunOutcome(a.rows[i].outcome),
-                  formatRunOutcome(b.rows[i].outcome));
+    // table5 has no jobs: both answer `done` with zero rows.
+    for (const char *name : {"smoke", "table5"}) {
+        ExperimentResult a = pooled.runExperiment(name, 4000);
+        ExperimentResult b = direct.runExperiment(name, 4000);
+        ASSERT_TRUE(a.ok) << name << ": " << a.errorCode << " "
+                          << a.errorMsg;
+        ASSERT_TRUE(b.ok) << name << ": " << b.errorMsg;
+        ASSERT_EQ(a.rows.size(), b.rows.size()) << name;
+        for (std::size_t i = 0; i < a.rows.size(); ++i) {
+            EXPECT_EQ(a.rows[i].seq, b.rows[i].seq);
+            EXPECT_EQ(a.rows[i].unit, b.rows[i].unit);
+            EXPECT_EQ(a.rows[i].seed, b.rows[i].seed);
+            EXPECT_EQ(formatRunOutcome(a.rows[i].outcome),
+                      formatRunOutcome(b.rows[i].outcome));
+        }
     }
     single.stop();
 }
@@ -329,11 +335,87 @@ TEST(Router, GracefulStopDrainsAndRejectsNewWork)
     EXPECT_TRUE(w.ping(&err)) << err;
 }
 
+TEST(Router, DrainDeliversAdmittedRowsToSlowReader)
+{
+    // A client that reads nothing until its sweep is computed leaves
+    // most rows in the router's output buffer. A drain that starts
+    // then must still deliver every row, and the `done`, before it
+    // closes the connection.
+    constexpr std::uint64_t kSeeds = 1000;
+    // No health pings: a worker's session thread is busy planning
+    // its ~500-job slice, which under a sanitizer can outlast two
+    // short ping intervals and cut the link.
+    Pool pool(2, /*queue_capacity=*/kSeeds,
+              /*health_interval_ms=*/60000);
+    RunSpec spec = smallSpec();
+    spec.workload = makeWorkload("espresso", 40000); // cheap trials
+
+    Client admin;
+    std::string err;
+    ASSERT_TRUE(admin.connectUnix(pool.routerPath, &err)) << err;
+    auto routerStat = [&](const char *path) -> std::uint64_t {
+        Json stats;
+        EXPECT_TRUE(admin.stats(stats, &err)) << err;
+        const Json *v = stats.findPath(path);
+        return v ? v->asU64() : 0;
+    };
+    const std::uint64_t submitsBefore =
+        routerStat("router.ops.submits");
+
+    int fd = serve::connectUnixSocket(pool.routerPath, &err);
+    ASSERT_GE(fd, 0) << err;
+    Json req = Json::object();
+    req.set("id", Json::number(std::uint64_t{1}));
+    req.set("op", Json::str("submit"));
+    req.set("spec", Json::str(formatRunSpec(spec)));
+    Json seeds = Json::array();
+    for (std::uint64_t s = 0; s < kSeeds; ++s)
+        seeds.push(Json::number(s));
+    req.set("seeds", std::move(seeds));
+    req.set("slowdown", Json::boolean(false));
+    ASSERT_TRUE(serve::sendJsonLine(fd, req));
+
+    // Read nothing until the router has taken the submit and then
+    // finished it: every row is merged and waits on our socket.
+    auto waitFor = [](const std::function<bool()> &done) {
+        for (int spins = 0; spins < 6000 && !done(); ++spins)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    };
+    waitFor([&] {
+        return routerStat("router.ops.submits") > submitsBefore;
+    });
+    waitFor([&] { return routerStat("router.pending_requests") == 0; });
+    ASSERT_EQ(routerStat("router.pending_requests"), 0u);
+    pool.router->requestStop();
+
+    serve::LineReader reader(fd);
+    std::string line;
+    std::uint64_t rows = 0;
+    Json done;
+    while (reader.readLine(line) == serve::LineReader::Status::Line) {
+        Json frame;
+        ASSERT_TRUE(Json::parse(line, frame, nullptr)) << line;
+        if (frame.find("ev")->asString() != "row") {
+            done = std::move(frame);
+            break;
+        }
+        ++rows;
+    }
+    ::close(fd);
+    pool.router->join();
+    EXPECT_EQ(rows, kSeeds);
+    ASSERT_TRUE(done.isObject()) << "connection closed before done";
+    ASSERT_EQ(done.find("ev")->asString(), "done") << done.dump();
+    EXPECT_EQ(done.find("rows")->asU64(), kSeeds);
+}
+
 TEST(Router, UnrunnableSpecGetsBadRequest)
 {
-    // A zero storeEvery (division by zero in the engine) or a zero
-    // quantum (a trial that never ends) parses as JSON but must be
-    // refused at the router's door, before any worker sees it.
+    // A zero storeEvery (division by zero in the engine), a zero
+    // quantum (a trial that never ends), and values that fatal() or
+    // abort building the cache, a stream or the System all parse as
+    // JSON but must be refused at the router's door, before any
+    // worker sees them.
     Pool pool(1);
     Client client;
     std::string err;
@@ -342,7 +424,18 @@ TEST(Router, UnrunnableSpecGetsBadRequest)
     zeroStore.workload.storeEvery = 0;
     RunSpec zeroQuantum = smallSpec();
     zeroQuantum.sys.quantumInstr = 0;
-    for (const RunSpec &spec : {zeroStore, zeroQuantum}) {
+    RunSpec oddLine = smallSpec();
+    oddLine.tw.cache.lineBytes = 12;
+    RunSpec tinyText = smallSpec();
+    tinyText.workload.kernelText.textBytes = 100;
+    RunSpec zeroClock = smallSpec();
+    zeroClock.sys.clockInterval = 0;
+    RunSpec noBinaries = smallSpec();
+    noBinaries.workload.binaries.clear();
+    RunSpec noTasks = smallSpec();
+    noTasks.workload.taskCount = 0;
+    for (const RunSpec &spec : {zeroStore, zeroQuantum, oddLine, tinyText,
+                                zeroClock, noBinaries, noTasks}) {
         SweepResult res = client.submitSweep(spec, {1}, false);
         EXPECT_FALSE(res.ok);
         EXPECT_EQ(res.errorCode, serve::kErrBadRequest)

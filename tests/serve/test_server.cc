@@ -41,6 +41,21 @@ smallSpec(unsigned cache_bytes = 2048)
     return spec;
 }
 
+/** @p j with the member at dotted @p path replaced by @p value. */
+Json
+withField(Json j, const std::string &path, Json value)
+{
+    std::size_t dot = path.find('.');
+    if (dot == std::string::npos) {
+        j.set(path, std::move(value));
+        return j;
+    }
+    std::string head = path.substr(0, dot);
+    j.set(head, withField(*j.find(head), path.substr(dot + 1),
+                          std::move(value)));
+    return j;
+}
+
 /** Each test gets its own socket path (tests may run in parallel
  *  processes on a shared /tmp). */
 std::string
@@ -331,13 +346,13 @@ TEST(Server, MalformedRequestGetsBadRequest)
     expectError("{\"id\":5,\"op\":\"submit\",\"spec\":7,"
                 "\"seeds\":[1]}");
     // Well-formed specs the engine cannot run: a zero storeEvery
-    // divides by zero, a zero quantum never ends the trial. Either
-    // would take the whole daemon (or one worker) with it.
-    auto zeroed = [](const char *parent, const char *key) {
-        Json spec = specToJson(smallSpec());
-        Json sub = *spec.find(parent);
-        sub.set(key, Json::number(0u));
-        spec.set(parent, std::move(sub));
+    // divides by zero, a zero quantum never ends the trial, and the
+    // rest fatal() or abort building the cache, a stream or the
+    // System. Any would take the whole daemon (or one worker) with
+    // it.
+    auto changed = [](const char *path, Json value) {
+        Json spec =
+            withField(specToJson(smallSpec()), path, std::move(value));
         Json req = Json::object();
         req.set("id", Json::number(6u));
         req.set("op", Json::str("submit"));
@@ -347,8 +362,14 @@ TEST(Server, MalformedRequestGetsBadRequest)
         req.set("seeds", std::move(seeds));
         return req.dump();
     };
-    expectError(zeroed("workload", "storeEvery"));
-    expectError(zeroed("sys", "quantumInstr"));
+    expectError(changed("workload.storeEvery", Json::number(0u)));
+    expectError(changed("sys.quantumInstr", Json::number(0u)));
+    expectError(changed("tw.cache.lineBytes", Json::number(12u)));
+    expectError(
+        changed("workload.kernelText.textBytes", Json::number(100u)));
+    expectError(changed("sys.clockInterval", Json::number(0u)));
+    expectError(changed("workload.binaries", Json::array()));
+    expectError(changed("workload.taskCount", Json::number(0u)));
     // And the daemon is still there to answer.
     ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
     ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
@@ -357,7 +378,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 8u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 13u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 

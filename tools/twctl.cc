@@ -446,6 +446,15 @@ main(int argc, char **argv)
             sweep.seeds.push_back(mixSeed(seed, 1000 + t));
     }
 
+    auto connect = [&](Client &c, std::string &why) {
+        if (!socketPath.empty())
+            return c.connectUnix(socketPath, &why);
+        if (tcpPort != 0)
+            return c.connectTcp(tcpHost, tcpPort, &why);
+        why = "need --socket or --tcp";
+        return false;
+    };
+
     // ---- Registry experiments -------------------------------------
     // Both paths print the canonical experimentRowJson lines in seq
     // order, so `diff <(twctl --experiment E local) <(twctl
@@ -483,15 +492,9 @@ main(int argc, char **argv)
         }
         Client client;
         std::string err;
-        bool connected =
-            !socketPath.empty()
-                ? client.connectUnix(socketPath, &err)
-                : (tcpPort != 0
-                       ? client.connectTcp(tcpHost, tcpPort, &err)
-                       : (err = "need --socket or --tcp", false));
-        if (!connected)
+        if (!connect(client, err))
             fatal("connect: %s", err.c_str());
-        ExperimentResult result = client.runExperiment(
+        SweepResult result = client.runExperiment(
             def->name, scaleSet ? scale : expScale);
         if (!result.ok) {
             if (!result.errorCode.empty()) {
@@ -512,7 +515,7 @@ main(int argc, char **argv)
                 seqBackend.resize(job.seq + 1);
             seqBackend[job.seq] = costBackendTag(job.spec);
         }
-        for (const ServedExperimentRow &row : result.rows) {
+        for (const SweepRow &row : result.rows) {
             if (row.expired)
                 continue;
             std::printf("%s\n",
@@ -598,14 +601,7 @@ main(int argc, char **argv)
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(pingRetryDelayMs));
             Client c;
-            bool connected =
-                !socketPath.empty()
-                    ? c.connectUnix(socketPath, &perr)
-                    : (tcpPort != 0
-                           ? c.connectTcp(tcpHost, tcpPort, &perr)
-                           : (perr = "need --socket or --tcp",
-                              false));
-            if (!connected)
+            if (!connect(c, perr))
                 continue;
             if (c.ping(&perr)) {
                 std::printf("pong\n");
@@ -619,12 +615,7 @@ main(int argc, char **argv)
     // ---- Everything else talks to a server ------------------------
     Client client;
     std::string err;
-    bool ok = !socketPath.empty()
-                  ? client.connectUnix(socketPath, &err)
-                  : (tcpPort != 0
-                         ? client.connectTcp(tcpHost, tcpPort, &err)
-                         : (err = "need --socket or --tcp", false));
-    if (!ok)
+    if (!connect(client, err))
         fatal("connect: %s", err.c_str());
 
     if (command == "ping") {
