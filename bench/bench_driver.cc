@@ -6,9 +6,15 @@
  *   bench_driver --run fig2 [--threads N] [--scale D] [--report]
  *                           [--rows PATH|-]
  *
- * The driver hard-errors on any flag it does not understand.
+ * Every setting arrives as a flag; the driver reads no environment.
+ * It hard-errors on any flag it does not understand, and on a
+ * malformed number.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,10 +44,9 @@ usage(std::FILE *out)
                  "  --list           list registered experiments\n"
                  "  --run <name>     run one experiment\n"
                  "  --threads <n>    trial-dispatch threads "
-                 "(default: TW_THREADS or all cores)\n"
-                 "  --scale <d>      override the workload scale "
-                 "divisor (default: TW_SCALE_DIV or the "
-                 "experiment's own)\n"
+                 "(default: all cores)\n"
+                 "  --scale <d>      workload scale divisor "
+                 "(default: the experiment's own)\n"
                  "  --report         write BENCH_<report>.json and "
                  "print the [report] extras\n"
                  "  --rows <path>    stream canonical NDJSON result "
@@ -50,20 +55,50 @@ usage(std::FILE *out)
                  "under \"metrics\" in the BENCH report "
                  "(implies --report)\n"
                  "  --no-simd        force the scalar trap-bitmap "
-                 "scans (same results, host-speed A/B; equivalent "
-                 "to TW_NO_SIMD=1)\n"
+                 "scans (same results, host-speed A/B)\n"
                  "  --sample         representative-interval "
-                 "sampling on eligible units (equivalent to "
-                 "TW_SAMPLE=1; TW_SAMPLE_* tune it)\n"
+                 "sampling on eligible units\n"
+                 "  --sample-interval <n>  references per sampling "
+                 "interval (default 16384; with --sample)\n"
+                 "  --no-dma         no DMA frame recycling on the "
+                 "sampling-eligible units (the sampled-vs-full "
+                 "comparison protocol)\n"
                  "  --cost-backend <b>  miss-cost backend for every "
-                 "unit: table5, ideal, or dram[:k=v,...] "
-                 "(equivalent to TW_COST_BACKEND=<b>)\n"
+                 "unit: table5, ideal, or dram[:k=v,...]\n"
                  "  --ci-target <r>  stop each unit's trials once "
-                 "the relative CI half-width reaches <r> "
-                 "(equivalent to TW_CI_TARGET=<r>)\n"
+                 "the relative CI half-width reaches <r>\n"
                  "  --trace-out <f>  write a Chrome trace-event JSON "
                  "span trace (Perfetto-loadable) to <f>\n"
-                 "  --help           this text\n");
+                 "  --help           this text\n"
+                 "\n"
+                 "<n>, <d> are positive integers and <r> a positive "
+                 "number; anything else exits 2.\n");
+}
+
+/** @p text as a positive integer that fits an unsigned. */
+bool
+positiveInt(const char *text, unsigned &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end
+        || errno != 0 || v == 0 || v > UINT_MAX)
+        return false;
+    out = static_cast<unsigned>(v);
+    return true;
+}
+
+/** @p text as a finite positive number. */
+bool
+positiveReal(const char *text, double &out)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end || !std::isfinite(v) || v <= 0.0)
+        return false;
+    out = v;
+    return true;
 }
 
 void
@@ -83,60 +118,73 @@ int
 main(int argc, char **argv)
 {
     bool list = false;
-    bool report = false;
     bool metrics = false;
     std::string run_name;
     std::string rows_path;
     std::string trace_path;
-    unsigned scale_override = 0;
+    RunExperimentOptions opts;
 
     auto value = [&](int &i, const char *flag) -> const char * {
         if (i + 1 >= argc)
             fatal("bench_driver: %s requires a value", flag);
         return argv[++i];
     };
+    auto malformed = [](const char *flag, const char *text) {
+        std::fprintf(stderr, "bench_driver: %s: malformed value '%s'\n",
+                     flag, text);
+        usage(stderr);
+        return 2;
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
+        unsigned n = 0;
         if (std::strcmp(arg, "--list") == 0) {
             list = true;
         } else if (std::strcmp(arg, "--run") == 0) {
             run_name = value(i, "--run");
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            setDefaultThreads(static_cast<unsigned>(
-                std::atoi(value(i, "--threads"))));
-        } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(arg + 10)));
+        } else if (std::strcmp(arg, "--threads") == 0
+                   || std::strncmp(arg, "--threads=", 10) == 0) {
+            const char *v =
+                arg[9] == '=' ? arg + 10 : value(i, "--threads");
+            if (!positiveInt(v, n))
+                return malformed("--threads", v);
+            setDefaultThreads(n);
         } else if (std::strcmp(arg, "--scale") == 0) {
-            scale_override = static_cast<unsigned>(
-                std::atoi(value(i, "--scale")));
+            const char *v = value(i, "--scale");
+            if (!positiveInt(v, opts.scaleDiv))
+                return malformed("--scale", v);
         } else if (std::strcmp(arg, "--report") == 0) {
-            report = true;
+            opts.report = true;
         } else if (std::strcmp(arg, "--rows") == 0) {
             rows_path = value(i, "--rows");
         } else if (std::strcmp(arg, "--metrics") == 0) {
             metrics = true;
-            report = true;
+            opts.report = true;
         } else if (std::strcmp(arg, "--no-simd") == 0) {
             simd::setEnabled(false);
         } else if (std::strcmp(arg, "--sample") == 0) {
-            // Grids read the environment (applySampleEnv), so the
-            // flag and TW_SAMPLE=1 are the same switch.
-            setenv("TW_SAMPLE", "1", 1);
+            opts.sample.enabled = true;
+        } else if (std::strcmp(arg, "--sample-interval") == 0) {
+            const char *v = value(i, "--sample-interval");
+            if (!positiveInt(v, n))
+                return malformed("--sample-interval", v);
+            opts.sample.intervalRefs = n;
+        } else if (std::strcmp(arg, "--no-dma") == 0) {
+            opts.noDma = true;
         } else if (std::strcmp(arg, "--ci-target") == 0) {
-            setenv("TW_CI_TARGET", value(i, "--ci-target"), 1);
+            const char *v = value(i, "--ci-target");
+            if (!positiveReal(v, opts.stopRule.ciRelTarget))
+                return malformed("--ci-target", v);
+            opts.stopRule.enabled = true;
         } else if (std::strcmp(arg, "--cost-backend") == 0) {
-            // Validate eagerly (a typo should die here, not after
-            // the workload warms up), then hand the spec to the
-            // grids through the same environment knob scripts use.
-            const char *val = value(i, "--cost-backend");
-            CostBackendConfig cfg;
+            // Validate here: a typo must die before the workload
+            // warms up.
             std::string err;
-            if (!parseCostBackendSpec(val, cfg, err))
+            if (!parseCostBackendSpec(value(i, "--cost-backend"),
+                                      opts.costBackend, err))
                 fatal("bench_driver: --cost-backend: %s",
                       err.c_str());
-            setenv("TW_COST_BACKEND", val, 1);
         } else if (std::strcmp(arg, "--trace-out") == 0) {
             trace_path = value(i, "--trace-out");
         } else if (std::strcmp(arg, "--help") == 0
@@ -187,7 +235,7 @@ main(int argc, char **argv)
     }
 
     std::unique_ptr<JsonReportSink> json;
-    if (report && !def->report.empty()) {
+    if (opts.report && !def->report.empty()) {
         json = std::make_unique<JsonReportSink>(
             def->report, def->name, "bench_driver");
         json->setIncludeObsMetrics(metrics);
@@ -200,9 +248,6 @@ main(int argc, char **argv)
             fatal("bench_driver: --trace-out: %s", err.c_str());
     }
 
-    RunExperimentOptions opts;
-    opts.scaleDiv = scale_override;
-    opts.report = report;
     runExperiment(*def, sinks, opts);
 
     obs::traceStop(); // writes --trace-out, if armed

@@ -21,6 +21,7 @@
 #include "workload/loop_nest.hh"
 
 #include "common.hh"
+#include "experiments/util.hh"
 
 namespace
 {
@@ -293,12 +294,11 @@ BENCHMARK(BM_UtrapHit);
  *  under 1%) — the configuration where the hit fast path carries
  *  the run. Written to BENCH_micro.json for cross-PR tracking. */
 void
-reportEndToEnd()
+reportEndToEnd(unsigned scale)
 {
     using namespace twbench;
-    unsigned scale = envScaleDiv(200);
     JsonReport json("micro", "bench_micro");
-    RunSpec spec = defaultSpec("mpeg_play", scale);
+    RunSpec spec = defaultSpec("mpeg_play", {.scaleDiv = scale});
     spec.sys.scope = SimScope::userOnly();
     spec.sim = SimKind::Tapeworm;
     spec.tw.cache =
@@ -342,6 +342,7 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     if (report)
-        reportEndToEnd();
+        reportEndToEnd(
+            parseScaleDiv(std::getenv("TW_SCALE_DIV"), 200));
     return 0;
 }

@@ -188,7 +188,7 @@ main(int argc, char **argv)
     initBench(argc, argv);
     bool report = hasFlag(argc, argv, "--report");
     bool pooled = hasFlag(argc, argv, "--pooled");
-    unsigned scale = envScaleDiv(4000);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 4000);
 
     if (pooled) {
         banner("twserved pool",

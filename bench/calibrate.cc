@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "base/table.hh"
 #include "harness/runner.hh"
@@ -36,7 +37,7 @@ baseSpec(const WorkloadSpec &wl, SimScope scope)
 int
 main()
 {
-    unsigned scale = envScaleDiv(100);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 100);
 
     std::printf("== component split and 4K dedicated miss ratios "
                 "(scale 1/%u) ==\n", scale);

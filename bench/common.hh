@@ -1,13 +1,10 @@
 /**
  * @file
- * Shared helpers for the per-table/figure bench binaries.
- *
- * Every binary regenerates one table or figure of the paper and
- * prints (a) the paper's published numbers where useful and (b) the
- * numbers measured on this reproduction. Instruction counts are
- * scaled down by TW_SCALE_DIV (see workload/spec.hh); miss counts
- * are extrapolated back to paper scale so the columns are directly
- * comparable to the publication.
+ * Shared glue of the two bench binaries outside the experiment
+ * registry, bench_serve and bench_micro: the --threads flag, the
+ * BENCH_<name>.json report and the banner. The spec builders and
+ * rate helpers they share with the registry live in
+ * experiments/util.hh.
  */
 
 #ifndef TW_BENCH_COMMON_HH
@@ -24,9 +21,6 @@
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "harness/experiment.hh"
-#include "harness/runner.hh"
-#include "harness/trials.hh"
-#include "workload/spec.hh"
 
 namespace twbench
 {
@@ -34,10 +28,10 @@ namespace twbench
 using namespace tw;
 
 /**
- * Common bench CLI handling: `--threads N` (or `TW_THREADS`) sets
- * the trial-dispatch width for every runTrials in the binary.
- * Unrecognized arguments are ignored so the binaries stay drop-in
- * compatible with plain invocation.
+ * Common bench CLI handling: `--threads N` sets the trial-dispatch
+ * width for every runTrials in the binary. Unrecognized arguments
+ * are ignored so the binaries stay drop-in compatible with plain
+ * invocation.
  */
 inline void
 initBench(int argc, char **argv)
@@ -104,48 +98,6 @@ hasFlag(int argc, char **argv, const char *flag)
         if (std::strcmp(argv[i], flag) == 0)
             return true;
     return false;
-}
-
-/** Host-side simulation rate of one run: simulated references
- *  (instructions + data refs) retired per real second. */
-inline double
-refsPerSec(const RunOutcome &o)
-{
-    if (o.hostSeconds <= 0.0)
-        return 0.0;
-    return static_cast<double>(o.run.totalInstr() + o.run.dataRefs)
-           / o.hostSeconds;
-}
-
-/** Total estimated misses across a set of outcomes (a JSON metric
- *  shared by the trial benches). */
-inline double
-totalEstMisses(const std::vector<RunOutcome> &outcomes)
-{
-    double sum = 0.0;
-    for (const auto &o : outcomes)
-        sum += o.estMisses;
-    return sum;
-}
-
-/** Scale misses measured at 1/scale workload size back to the
- *  paper's full-size runs, in millions. */
-inline double
-paperMillions(double misses, unsigned scale_div)
-{
-    return misses * static_cast<double>(scale_div) / 1.0e6;
-}
-
-/** Default experiment spec: Tapeworm, all activity, 4 KB DM cache. */
-inline RunSpec
-defaultSpec(const std::string &workload, unsigned scale_div)
-{
-    RunSpec spec;
-    spec.workload = makeWorkload(workload, scale_div);
-    spec.sys.scope = SimScope::all();
-    spec.sim = SimKind::Tapeworm;
-    spec.tw.cache = CacheConfig::icache(4096);
-    return spec;
 }
 
 /** Print a bench header naming the regenerated artifact. */

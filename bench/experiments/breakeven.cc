@@ -29,11 +29,11 @@ make()
     def.description = "trap-driven vs trace-driven break-even";
     def.report = "breakeven";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const char *name : kWorkloads) {
             for (std::uint64_t bytes : kSizes) {
-                RunSpec spec = defaultSpec(name, scale);
+                RunSpec spec = defaultSpec(name, opts);
                 spec.sys.scope = SimScope::userOnly();
                 CacheConfig cache = CacheConfig::icache(
                     bytes, 16, 1, Indexing::Virtual);

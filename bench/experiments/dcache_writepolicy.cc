@@ -86,10 +86,10 @@ make()
                       "flexibility limits";
     def.report = "dcache_writepolicy";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const char *name : kWorkloads) {
-            RunSpec spec = dcacheSpec(name, scale);
+            RunSpec spec = dcacheSpec(name, opts.scaleDiv);
             spec.sim = SimKind::Oracle;
             units.push_back(unitOf(csprintf("oracle/%s", name), spec,
                                    TrialPlan::one(5)));

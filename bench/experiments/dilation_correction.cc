@@ -35,11 +35,11 @@ make()
     def.description = "time-dilation curves and correction";
     def.report = "dilation_correction";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const char *name : kWorkloads) {
             RunSpec spec;
-            spec.workload = makeWorkload(name, scale);
+            spec.workload = makeWorkload(name, opts.scaleDiv);
             spec.sys.scope = SimScope::all();
             spec.sys.clockJitter = false;
             spec.sim = SimKind::Tapeworm;

@@ -26,16 +26,17 @@ const unsigned kTrials = 3;
 const unsigned kDenoms[] = {16u, 8u, 4u, 2u, 1u};
 
 RunSpec
-dilationSpec(unsigned scale, unsigned denom, CostBackendKind kind)
+dilationSpec(const RunExperimentOptions &opts, unsigned denom,
+             CostBackendKind kind)
 {
-    RunSpec spec = defaultSpec("mpeg_play", scale);
+    RunSpec spec = defaultSpec("mpeg_play", opts);
     spec.sys.scope = SimScope::all();
     spec.tw.cache = CacheConfig::icache(4096, 16, 1,
                                         Indexing::Physical);
     spec.tw.sampleNum = 1;
     spec.tw.sampleDenom = denom;
     // Both sides are pinned explicitly: this experiment IS the
-    // backend comparison, so TW_COST_BACKEND must not skew either.
+    // backend comparison, so --cost-backend must not skew either.
     spec.tw.costBackend = CostBackendConfig{};
     spec.tw.costBackend.kind = kind;
     spec.tlb.costBackend = spec.tw.costBackend;
@@ -52,16 +53,16 @@ make()
                       "cost backend vs the flat Table 5 model";
     def.report = "dram_dilation";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (unsigned denom : kDenoms) {
             units.push_back(unitOf(
                 csprintf("dram:1/%u", denom),
-                dilationSpec(scale, denom, CostBackendKind::Dram),
+                dilationSpec(opts, denom, CostBackendKind::Dram),
                 TrialPlan::derived(kTrials, 0xd4a1, true)));
             units.push_back(unitOf(
                 csprintf("table5:1/%u", denom),
-                dilationSpec(scale, denom, CostBackendKind::Table5),
+                dilationSpec(opts, denom, CostBackendKind::Table5),
                 TrialPlan::derived(kTrials, 0xd4a1, true)));
         }
         return units;

@@ -51,9 +51,9 @@ make()
                       "16KB I-cache";
     def.report = "families";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
-        WorkloadSpec wl = makeWorkload("mpeg_play", scale);
+        WorkloadSpec wl = makeWorkload("mpeg_play", opts.scaleDiv);
         SystemConfig sys;
         sys.trialSeed = 7;
 

@@ -7,8 +7,6 @@
  * including them — exactly the paper's setup.
  */
 
-#include <cstdlib>
-
 #include "base/simd.hh"
 #include "util.hh"
 
@@ -33,25 +31,16 @@ const PaperRow kPaper[] = {
     {1024, 0.000, 22.3, 0.00},
 };
 
-/** TW_FIG2_ONLY_KB restricts the sweep to one cache size
- *  (perf-smoke mode; the default full sweep is unchanged). */
-unsigned
-onlyKb()
+/** The user-only, virtually indexed mpeg_play spec of one fig2 size
+ *  (Tapeworm; the grid derives the trace-driven side from it). */
+RunSpec
+sizeSpec(unsigned kb, const RunExperimentOptions &opts)
 {
-    if (const char *only = std::getenv("TW_FIG2_ONLY_KB"))
-        return static_cast<unsigned>(std::atoi(only));
-    return 0;
-}
-
-/** TW_FIG2_DCACHE=1 adds a unified-kind Tapeworm row per size. An
- *  I-cache run exercises the probe-free chunked inner loop; a
- *  unified cache delivers loads/stores too and so runs the filtered
- *  per-reference loop — the perf smoke measures both engines. */
-bool
-wantDcache()
-{
-    const char *env = std::getenv("TW_FIG2_DCACHE");
-    return env && *env && *env != '0';
+    RunSpec spec = defaultSpec("mpeg_play", opts);
+    spec.sys.scope = SimScope::userOnly();
+    spec.tw.cache =
+        CacheConfig::icache(kb * 1024ull, 16, 1, Indexing::Virtual);
+    return spec;
 }
 
 ExperimentDef
@@ -64,52 +53,32 @@ make()
                       "mpeg_play I-cache";
     def.report = "fig2_slowdowns";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
-        unsigned only_kb = onlyKb();
         for (const auto &paper : kPaper) {
-            if (only_kb != 0 && paper.kb != only_kb)
-                continue;
-            RunSpec spec = defaultSpec("mpeg_play", scale);
-            spec.sys.scope = SimScope::userOnly();
-            CacheConfig cache = CacheConfig::icache(
-                paper.kb * 1024ull, 16, 1, Indexing::Virtual);
-
-            spec.sim = SimKind::Tapeworm;
-            spec.tw.cache = cache;
+            RunSpec spec = sizeSpec(paper.kb, opts);
             RunSpec tw = spec;
-            applySampleEnv(tw);
+            applySample(tw, opts);
             // Sampled estimates carry no slowdown (no instrumented
             // machine runs), so skip the baseline pairing then.
             units.push_back(unitOf(
                 csprintf("tw/%uK", paper.kb), tw,
                 TrialPlan::one(7, !tw.sample.enabled)));
 
-            if (wantDcache()) {
-                RunSpec uni = spec;
-                uni.tw.kind = SimCacheKind::Unified;
-                units.push_back(unitOf(csprintf("twd/%uK", paper.kb),
-                                       uni, TrialPlan::one(7, true)));
-            }
-
             spec.sim = SimKind::TraceDriven;
-            spec.c2k.cache = cache;
+            spec.c2k.cache = spec.tw.cache;
             units.push_back(unitOf(csprintf("c2k/%uK", paper.kb),
                                    spec, TrialPlan::one(7, true)));
         }
         return units;
     };
     def.present = [](ExperimentContext &ctx) {
-        unsigned only_kb = onlyKb();
         double tw_refs = 0.0, tw_secs = 0.0;
-        double twd_refs = 0.0, twd_secs = 0.0;
         double sample_refs_sim = 0.0, sample_refs_total = 0.0;
         double sample_ci = 0.0;
         TextTable t({"size", "missRatio", "c2000.slow", "tw.slow",
                      "paper.miss", "paper.c2000", "paper.tw"});
         for (const auto &paper : kPaper) {
-            if (only_kb != 0 && paper.kb != only_kb)
-                continue;
             const RunOutcome &trap =
                 ctx.outcome(csprintf("tw/%uK", paper.kb));
             const RunOutcome &trace =
@@ -135,13 +104,6 @@ make()
                 ctx.metric(csprintf("tw_refs_per_sec_%uK", paper.kb),
                            refsPerSec(trap));
             }
-            if (wantDcache()) {
-                const RunOutcome &uni =
-                    ctx.outcome(csprintf("twd/%uK", paper.kb));
-                twd_refs += static_cast<double>(uni.run.totalInstr()
-                                                + uni.run.dataRefs);
-                twd_secs += uni.hostSeconds;
-            }
 
             t.addRow({
                 csprintf("%uK", paper.kb),
@@ -164,14 +126,6 @@ make()
                       tw_refs, tw_secs);
             ctx.metric("tw_refs_per_sec", rate);
             ctx.metric("tw_host_seconds", tw_secs);
-            if (wantDcache()) {
-                double drate =
-                    twd_secs > 0.0 ? twd_refs / twd_secs : 0.0;
-                ctx.print("[report] tapeworm unified (filtered loop) "
-                          "host rate: %.3fM refs/s\n", drate / 1.0e6);
-                ctx.metric("twd_refs_per_sec", drate);
-                ctx.metric("twd_host_seconds", twd_secs);
-            }
             ctx.note("simd", simd::levelName(simd::activeLevel()));
         }
         if (sample_refs_total > 0.0) {
@@ -183,6 +137,60 @@ make()
     return def;
 }
 
+/**
+ * fig2_rate: a host-rate probe, not a paper artifact. The 1 MB row
+ * of fig2 (miss ratio well under 1%) run twice, once per
+ * instantiation of the engine's span loop on its hit-dominated
+ * configuration:
+ *
+ *   tw/1024K  — the I-cache: no deliverable data kinds, so the
+ *               fetch-only chunked loop with bulk accounting and
+ *               SIMD same-page span consumption;
+ *   twd/1024K — a unified cache: loads and stores are delivered
+ *               too, so refs on trapped pages are probed singly
+ *               behind SIMD page-span trap probes.
+ *
+ * Each unit keeps fig2's baseline pairing, so hostSeconds times the
+ * same run fig2 times. scripts/perf_smoke.sh floors both rates.
+ */
+ExperimentDef
+makeRate()
+{
+    ExperimentDef def;
+    def.name = "fig2_rate";
+    def.artifact = "Host rate";
+    def.description = "host refs/s of fig2's 1M I-cache row, "
+                      "fetch-only and unified";
+    def.report = "fig2_rate";
+    def.scaleDiv = 200;
+    def.grid = [](const RunExperimentOptions &opts) {
+        RunSpec tw = sizeSpec(1024, opts);
+        RunSpec twd = tw;
+        twd.tw.kind = SimCacheKind::Unified;
+        return std::vector<ExperimentUnit>{
+            unitOf("tw/1024K", tw, TrialPlan::one(7, true)),
+            unitOf("twd/1024K", twd, TrialPlan::one(7, true)),
+        };
+    };
+    def.present = [](ExperimentContext &ctx) {
+        const RunOutcome &tw = ctx.outcome("tw/1024K");
+        const RunOutcome &twd = ctx.outcome("twd/1024K");
+        ctx.print("[report] tapeworm host rate: %.3fM refs/s "
+                  "(%.3fs host)\n", refsPerSec(tw) / 1.0e6,
+                  tw.hostSeconds);
+        ctx.print("[report] tapeworm unified (filtered loop) host "
+                  "rate: %.3fM refs/s (%.3fs host)\n",
+                  refsPerSec(twd) / 1.0e6, twd.hostSeconds);
+        ctx.metric("tw_refs_per_sec", refsPerSec(tw));
+        ctx.metric("tw_host_seconds", tw.hostSeconds);
+        ctx.metric("twd_refs_per_sec", refsPerSec(twd));
+        ctx.metric("twd_host_seconds", twd.hostSeconds);
+        ctx.note("simd", simd::levelName(simd::activeLevel()));
+    };
+    return def;
+}
+
 const ExperimentRegistrar reg(make());
+const ExperimentRegistrar rateReg(makeRate());
 
 } // namespace

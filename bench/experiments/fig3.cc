@@ -19,9 +19,9 @@ const std::uint64_t kSampleSizesKb[] = {1, 2, 4};
 const unsigned kDenoms[] = {1u, 2u, 4u, 8u, 16u};
 
 RunSpec
-baseSpec(std::uint64_t size_bytes, unsigned scale)
+baseSpec(std::uint64_t size_bytes, const RunExperimentOptions &opts)
 {
-    RunSpec spec = defaultSpec("mpeg_play", scale);
+    RunSpec spec = defaultSpec("mpeg_play", opts);
     spec.sys.scope = SimScope::userOnly();
     spec.tw.cache = CacheConfig::icache(size_bytes, 16, 1,
                                         Indexing::Virtual);
@@ -38,14 +38,14 @@ make()
         "Tapeworm slowdowns across configurations, mpeg_play";
     def.report = "fig3_configs";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
 
         // Panel 1: associativity (FIFO replacement above 1 way,
         // since a trap-driven simulator cannot do LRU).
         for (std::uint64_t kb : kPanelSizesKb) {
             for (unsigned assoc : kAssocs) {
-                RunSpec spec = baseSpec(kb * 1024, scale);
+                RunSpec spec = baseSpec(kb * 1024, opts);
                 spec.tw.cache =
                     CacheConfig::icache(kb * 1024, 16, assoc,
                                         Indexing::Virtual);
@@ -60,7 +60,7 @@ make()
         // produce fewer misses, so simulation gets faster overall.
         for (std::uint64_t kb : kPanelSizesKb) {
             for (unsigned line : kLines) {
-                RunSpec spec = baseSpec(kb * 1024, scale);
+                RunSpec spec = baseSpec(kb * 1024, opts);
                 spec.tw.cache = CacheConfig::icache(
                     kb * 1024, line, 1, Indexing::Virtual);
                 units.push_back(unitOf(
@@ -74,7 +74,7 @@ make()
         // are fast enough not to need sampling — Section 4.1).
         for (std::uint64_t kb : kSampleSizesKb) {
             for (unsigned denom : kDenoms) {
-                RunSpec spec = baseSpec(kb * 1024, scale);
+                RunSpec spec = baseSpec(kb * 1024, opts);
                 spec.tw.sampleNum = 1;
                 spec.tw.sampleDenom = denom;
                 units.push_back(unitOf(

@@ -39,10 +39,10 @@ make()
                       "(mpeg_play, 4KB physical, all activity)";
     def.report = "fig4_dilation";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (unsigned denom : kDenoms) {
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::all();
             spec.tw.cache = CacheConfig::icache(4096, 16, 1,
                                                 Indexing::Physical);

@@ -77,8 +77,8 @@ make()
                       "in a long-running system";
     def.report = "fragmentation";
     def.scaleDiv = 1;
-    def.envScale = false; // synthetic stream, not a scaled workload
-    def.grid = [](unsigned) {
+    def.fixedScale = true; // synthetic stream, not a scaled workload
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

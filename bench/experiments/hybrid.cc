@@ -38,13 +38,13 @@ make()
                       "slowdowns, mpeg_play";
     def.report = "hybrid";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (std::uint64_t kb : kSizesKb) {
             CacheConfig cache = CacheConfig::icache(
                 kb * 1024ull, 16, 1, Indexing::Virtual);
 
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::userOnly();
             spec.tw.cache = cache;
             units.push_back(unitOf(

@@ -35,12 +35,12 @@ make()
                       "page-allocation variance";
     def.report = "kessler";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (std::uint64_t kb : kSizesKb) {
             // Measured: Table 9's physically-indexed mpeg_play runs.
             RunSpec spec;
-            spec.workload = makeWorkload("mpeg_play", scale);
+            spec.workload = makeWorkload("mpeg_play", opts.scaleDiv);
             spec.sys.scope = SimScope::userOnly();
             spec.sys.clockJitter = false;
             spec.sim = SimKind::Tapeworm;

@@ -29,7 +29,7 @@ make()
     def.scaleDiv = 200;
     // The TapewormMultiLevel client drives the System directly, so
     // there is nothing for the spec grid to enumerate.
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

@@ -38,10 +38,10 @@ make()
                       "pass, mpeg_play user stream";
     def.report = "onepass";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (std::uint64_t size : kSizes) {
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::userOnly();
             CacheConfig cache =
                 CacheConfig::icache(size, 16, 1, Indexing::Virtual);

@@ -31,10 +31,10 @@ make()
                       "(mpeg_play, physical 16KB)";
     def.report = "pagecolor";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (AllocPolicy policy : kPolicies) {
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::userOnly();
             spec.sys.clockJitter = false;
             spec.sys.allocPolicy = policy;

@@ -31,12 +31,12 @@ make()
                       "samples (mpeg_play, 4KB, 1/8)";
     def.report = "resample";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         CacheConfig cache =
             CacheConfig::icache(4096, 16, 1, Indexing::Virtual);
         for (unsigned sample = 1; sample <= 4; ++sample) {
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::userOnly();
             spec.tw.cache = cache;
             spec.tw.sampleNum = 1;

@@ -33,7 +33,7 @@ make()
     def.scaleDiv = 200;
     // Drives Tapeworm clients on the System directly (two trap
     // planes at once) — nothing for the spec grid to enumerate.
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

@@ -41,10 +41,10 @@ make()
                       "(virtual indexing, no sampling, 16KB)";
     def.report = "table10_novariation";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const auto &paper : kPaper) {
-            RunSpec spec = defaultSpec(paper.name, scale);
+            RunSpec spec = defaultSpec(paper.name, opts);
             spec.tw.cache = CacheConfig::icache(16384, 16, 1,
                                                 Indexing::Virtual);
             units.push_back(unitOf(paper.name, spec,

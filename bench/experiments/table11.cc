@@ -88,7 +88,7 @@ make()
     def.report = "table11_code";
     def.scaleDiv = 200;
     def.banner = false; // prints its own header line
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

@@ -75,7 +75,7 @@ make()
     def.report = "table12_primitives";
     def.scaleDiv = 200;
     def.banner = false; // prints its own header line
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

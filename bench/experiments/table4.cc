@@ -42,10 +42,10 @@ make()
     def.description = "workload and operating system summary";
     def.report = "table4_workloads";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const auto &paper : kPaper) {
-            RunSpec spec = defaultSpec(paper.name, scale);
+            RunSpec spec = defaultSpec(paper.name, opts);
             spec.sim = SimKind::None;
             units.push_back(unitOf(paper.name, spec,
                                    TrialPlan::one(1)));

@@ -41,7 +41,7 @@ make()
     def.scaleDiv = 200;
     // Cost-model accounting plus host-nanosecond micro-benchmarks;
     // no RunSpec grid (host timing is intentionally non-canonical).
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         return std::vector<ExperimentUnit>{};
     };
     def.present = [](ExperimentContext &ctx) {

@@ -50,10 +50,10 @@ make()
         "miss contributions per workload component (4KB DM)";
     def.report = "table6_components";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const auto &paper : kPaper) {
-            RunSpec spec = defaultSpec(paper.name, scale);
+            RunSpec spec = defaultSpec(paper.name, opts);
 
             auto scoped = [&](const char *tag, SimScope scope) {
                 RunSpec s = spec;

@@ -44,19 +44,19 @@ make()
                       "(16 trials, 1/8 sampling, 16KB physical)";
     def.report = "table7_variation";
     def.scaleDiv = 400;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const auto &paper : kPaper) {
-            RunSpec spec = defaultSpec(paper.name, scale);
+            RunSpec spec = defaultSpec(paper.name, opts);
             spec.tw.cache = CacheConfig::icache(16384, 16, 1,
                                                 Indexing::Physical);
             spec.tw.sampleNum = 1;
             spec.tw.sampleDenom = 8;
-            // TW_CI_TARGET caps the sweep adaptively (the cache is
+            // A stop rule caps the sweep adaptively (the cache is
             // physically indexed, so interval sampling does not
             // apply here — adaptive stopping is the lever).
             units.push_back(unitOf(paper.name, spec,
-                                   variationPlan(kTrials, 0xbead)));
+                                   variationPlan(kTrials, 0xbead, opts)));
         }
         return units;
     };

@@ -51,28 +51,28 @@ make()
                       "(espresso, virtually-indexed, user only)";
     def.report = "table8_sampling";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (std::uint64_t kb : kSizesKb) {
-            RunSpec spec = defaultSpec("espresso", scale);
+            RunSpec spec = defaultSpec("espresso", opts);
             spec.sys.scope = SimScope::userOnly();
             spec.tw.cache = CacheConfig::icache(kb * 1024, 16, 1,
                                                 Indexing::Virtual);
 
-            // TW_SAMPLE composes: interval sampling replicates the
-            // per-trial set sample, so both columns keep their
-            // meaning. TW_CI_TARGET turns the fixed 16-trial plan
-            // into an up-to-16 adaptive one.
-            applySampleEnv(spec);
+            // Interval sampling (--sample) composes: it replicates
+            // the per-trial set sample, so both columns keep their
+            // meaning. A stop rule (--ci-target) turns the fixed
+            // 16-trial plan into an up-to-16 adaptive one.
+            applySample(spec, opts);
             RunSpec sampled = spec;
             sampled.tw.sampleNum = 1;
             sampled.tw.sampleDenom = 8;
             units.push_back(unitOf(
                 csprintf("sampled/%lluK", (unsigned long long)kb),
-                sampled, variationPlan(kTrials, 0x5a)));
+                sampled, variationPlan(kTrials, 0x5a, opts)));
             units.push_back(unitOf(
                 csprintf("unsampled/%lluK", (unsigned long long)kb),
-                spec, variationPlan(kTrials, 0x5a)));
+                spec, variationPlan(kTrials, 0x5a, opts)));
         }
         return units;
     };

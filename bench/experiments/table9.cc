@@ -39,10 +39,10 @@ make()
                       "(mpeg_play, user only, no sampling)";
     def.report = "table9_pagealloc";
     def.scaleDiv = 200;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (const auto &paper : kPaper) {
-            RunSpec spec = defaultSpec("mpeg_play", scale);
+            RunSpec spec = defaultSpec("mpeg_play", opts);
             spec.sys.scope = SimScope::userOnly();
             spec.sys.clockJitter = false; // isolate page allocation
 

@@ -1,15 +1,14 @@
 /**
  * @file
- * Shared helpers for the experiment registrations — the spec
- * builders and paper-scale conversions the old per-binary bench
- * glue carried in bench/common.hh, now serving ExperimentDef grid()
- * and present() functions instead of main() bodies.
+ * Shared helpers for the experiment registrations: the spec
+ * builders and paper-scale conversions behind ExperimentDef grid()
+ * and present() functions. Every setting a grid honours arrives in
+ * its RunExperimentOptions; nothing here reads the environment.
  */
 
 #ifndef TW_BENCH_EXPERIMENTS_UTIL_HH
 #define TW_BENCH_EXPERIMENTS_UTIL_HH
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "harness/trials.hh"
-#include "sample/config.hh"
 #include "workload/spec.hh"
 
 namespace twbench
@@ -56,87 +54,50 @@ paperMillions(double misses, unsigned scale_div)
     return misses * static_cast<double>(scale_div) / 1.0e6;
 }
 
-/**
- * TW_COST_BACKEND (set by `bench_driver --cost-backend`): the
- * miss-cost backend every grid spec uses, NAME[:k=v,...]. Unset or
- * empty keeps the table5 default (and the default spec bytes).
- * Fatal on a malformed value — a typo must not silently run the
- * default backend.
- */
-inline CostBackendConfig
-costBackendFromEnv()
-{
-    CostBackendConfig cfg;
-    if (const char *env = std::getenv("TW_COST_BACKEND")) {
-        std::string err;
-        if (*env && !parseCostBackendSpec(env, cfg, err))
-            fatal("TW_COST_BACKEND: %s", err.c_str());
-    }
-    return cfg;
-}
-
-/** Default experiment spec: Tapeworm, all activity, 4 KB DM cache.
- *  TW_COST_BACKEND applies here, so every registered experiment can
- *  re-run under a different pricing model. */
+/** Default experiment spec: Tapeworm, all activity, 4 KB DM cache,
+ *  at @p opts' scale. @p opts' cost backend applies here, so every
+ *  registered experiment can re-run under a different pricing
+ *  model. */
 inline RunSpec
-defaultSpec(const std::string &workload, unsigned scale_div)
+defaultSpec(const std::string &workload,
+            const RunExperimentOptions &opts)
 {
     RunSpec spec;
-    spec.workload = makeWorkload(workload, scale_div);
+    spec.workload = makeWorkload(workload, opts.scaleDiv);
     spec.sys.scope = SimScope::all();
     spec.sim = SimKind::Tapeworm;
     spec.tw.cache = CacheConfig::icache(4096);
-    spec.tw.costBackend = costBackendFromEnv();
-    spec.tlb.costBackend = spec.tw.costBackend;
+    spec.tw.costBackend = opts.costBackend;
+    spec.tlb.costBackend = opts.costBackend;
     return spec;
 }
 
 /**
- * Apply the TW_SAMPLE / TW_SAMPLE_* environment (set by
- * `bench_driver --sample`) to one grid spec, plus TW_NO_DMA — the
- * comparison protocol that runs both the sampled and the full side
- * without DMA frame recycling (an OS perturbation the stream-driven
- * estimator deliberately does not model). Call only on units whose
- * geometry can be eligible (Tapeworm, direct-mapped, virtual); a
- * spec that ends up ineligible anyway just falls back to the full
- * run (engine.sample.fallbacks counts it).
+ * Apply @p opts' sampling and no-DMA settings to one grid spec. Call
+ * only on units whose geometry can be eligible (Tapeworm,
+ * direct-mapped, virtual); a spec that ends up ineligible anyway
+ * just falls back to the full run (engine.sample.fallbacks counts
+ * it).
  */
 inline void
-applySampleEnv(RunSpec &spec)
+applySample(RunSpec &spec, const RunExperimentOptions &opts)
 {
-    spec.sample = sampleConfigFromEnv();
-    if (envNoDma())
+    spec.sample = opts.sample;
+    if (opts.noDma)
         spec.sys.dmaFlushPeriod = 0;
 }
 
-/**
- * TW_CI_TARGET (set by `bench_driver --ci-target`): an adaptive
- * trial-stopping rule at that relative CI half-width; disabled when
- * unset or non-positive.
- */
-inline StopRule
-stopRuleFromEnv()
-{
-    StopRule rule;
-    if (const char *env = std::getenv("TW_CI_TARGET")) {
-        double target = std::atof(env);
-        if (target > 0.0) {
-            rule.enabled = true;
-            rule.ciRelTarget = target;
-        }
-    }
-    return rule;
-}
-
 /** The trial plan a variation sweep uses: the fixed @p n-trial plan,
- *  or up to @p n trials stopping at TW_CI_TARGET when that is set. */
+ *  or up to @p n trials under @p opts' stop rule when that is
+ *  enabled. */
 inline TrialPlan
 variationPlan(unsigned n, std::uint64_t base,
+              const RunExperimentOptions &opts,
               bool with_slowdown = false)
 {
-    StopRule rule = stopRuleFromEnv();
-    if (rule.enabled)
-        return TrialPlan::adaptive(n, base, rule, with_slowdown);
+    if (opts.stopRule.enabled)
+        return TrialPlan::adaptive(n, base, opts.stopRule,
+                                   with_slowdown);
     return TrialPlan::derived(n, base, with_slowdown);
 }
 

@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "base/table.hh"
@@ -45,7 +46,7 @@ int
 main(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "sdet";
-    unsigned scale = envScaleDiv(200);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 200);
 
     std::printf("Component isolation for '%s' (scaled 1/%u)\n\n",
                 workload.c_str(), scale);

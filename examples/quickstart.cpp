@@ -26,7 +26,7 @@ main(int argc, char **argv)
     std::string workload = argc > 1 ? argv[1] : "mpeg_play";
     unsigned cache_kb =
         argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
-    unsigned scale = envScaleDiv(200);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 200);
 
     // 1. Describe the experiment: which workload, which simulated
     //    cache, and which workload components Tapeworm registers.

@@ -15,6 +15,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "base/table.hh"
@@ -30,7 +31,7 @@ main(int argc, char **argv)
     std::string workload = argc > 1 ? argv[1] : "mpeg_play";
     unsigned cache_kb =
         argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
-    unsigned scale = envScaleDiv(400);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 400);
     const unsigned trials = 8;
 
     std::printf("Sampling trade-off for '%s', %u KB cache "

@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "base/table.hh"
@@ -50,7 +51,7 @@ int
 main(int argc, char **argv)
 {
     std::string workload = argc > 1 ? argv[1] : "ousterhout";
-    unsigned scale = envScaleDiv(200);
+    unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 200);
 
     std::printf("TLB exploration for '%s' (scaled 1/%u), "
                 "page-valid-bit traps\n\n",

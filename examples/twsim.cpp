@@ -57,12 +57,13 @@ usage()
         "  --cost-backend B  miss pricing: table5|ideal|\n"
         "                    dram[:k=v,...] (default table5)\n"
         "  --trials N        experimental trials (default 1)\n"
-        "  --threads N       trial-dispatch workers (default: \n"
-        "                    TW_THREADS, else hardware threads;\n"
-        "                    results identical for any N)\n"
+        "  --threads N       trial-dispatch workers (default:\n"
+        "                    hardware threads; results identical\n"
+        "                    for any N)\n"
         "  --seed N          base trial seed (default 1)\n"
         "  --scale N         divide paper instruction counts by N\n"
-        "                    (default 200; also via TW_SCALE_DIV)\n"
+        "                    (default 200; with --experiment, the\n"
+        "                    experiment's own)\n"
         "  --experiment NAME run a registered paper experiment\n"
         "                    (the registry bench_driver --list "
         "shows)\n"
@@ -98,7 +99,7 @@ main(int argc, char **argv)
     unsigned line = 16, assoc = 1, sample = 1, trials = 1;
     unsigned tlb_entries = 64;
     std::uint64_t seed = 1;
-    unsigned scale = envScaleDiv(200);
+    unsigned scale = 200;
     Indexing indexing = Indexing::Physical;
     std::string policy, sim = "tapeworm", kind = "instruction",
                 scope = "all";

@@ -136,7 +136,7 @@ main(int argc, char **argv)
     if (cmd == "record" && argc >= 4) {
         unsigned scale = argc > 4
                              ? static_cast<unsigned>(std::atoi(argv[4]))
-                             : envScaleDiv(200);
+                             : 200;
         return record(argv[2], argv[3], scale);
     }
     if (cmd == "info") {

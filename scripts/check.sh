@@ -16,9 +16,9 @@ cmake --build build
 # mode (the parallel_trials and fast-path suites assert this
 # directly; running everything each way keeps every other test
 # honest about hidden shared state and SIMD/scalar divergence too).
-# The serial leg pins TW_SAMPLE=0: an explicit sampling-off
-# environment must be byte-identical to the pre-sampling default.
-TW_SAMPLE=0 TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
+# TW_THREADS and TW_NO_SIMD reach the suites through the shared test
+# main (tests/test_main.cc), the only place tests read them.
+TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
@@ -101,35 +101,38 @@ TW_THREADS=2 ./build-tsan/tests/test_shard
 ./scripts/obs_smoke.sh
 
 # Sampling smoke: interval-sampled fig2 estimates within 2% of the
-# full run while replaying >=10x fewer refs; TW_CI_TARGET turns
+# full run while replaying >=10x fewer refs; --ci-target turns
 # table8 adaptive and the trial count actually drops.
 ./scripts/sample_smoke.sh
 
 # Cost-backend smoke: default-pricing goldens stay byte-identical,
 # the dram_dilation sweep reports live row-hit/row-conflict tallies
-# and a dilation measurably off the flat table5 model, malformed
-# --cost-backend/TW_COST_BACKEND specs die fast, and the ideal
-# backend prices the same run cheaper.
+# and a dilation measurably off the flat table5 model, a malformed
+# --cost-backend spec dies fast, and the ideal backend prices the
+# same run cheaper.
 ./scripts/cost_smoke.sh
 
 # Experiment-registry smoke: the driver must list the catalogue, and
 # every migrated experiment's masked output must still match the
 # checked-in pre-migration goldens (host-timing [json]/[report]
-# lines stripped; TW_SCALE_DIV=2000 TW_THREADS=2 pinned inside).
+# lines stripped; --scale 2000 --threads 2 pinned inside).
 ./build/bench/bench_driver --list
 ./scripts/migration_diff.sh all
 
 # Every registered experiment once at its default scale (the
-# migration diff above runs them at 1/2000), then the service, micro
-# and calibration benches.
+# migration diff above runs them at 1/2000), or at TW_SCALE_DIV when
+# the caller sets it, then the service, micro and calibration
+# benches (which read TW_SCALE_DIV themselves).
 for e in $(./build/bench/bench_driver --list | awk '{ print $1 }'); do
-    ./build/bench/bench_driver --run "$e"
+    ./build/bench/bench_driver --run "$e" \
+        ${TW_SCALE_DIV:+--scale "$TW_SCALE_DIV"}
 done
 ./build/bench/bench_serve
 ./build/bench/bench_micro
 ./build/bench/calibrate
 
-# Perf smoke: the instrumented large-cache fig2 row must not fall
-# below 70% of the checked-in baseline rate (refs/s). Catches a
-# lost fast path without being flaky about machine variation.
+# Perf smoke: the fig2_rate probe (fig2's instrumented large-cache
+# row) must not fall below 70% of the checked-in baseline rates
+# (refs/s). Catches a lost fast path without being flaky about
+# machine variation.
 ./scripts/perf_smoke.sh

@@ -44,9 +44,8 @@ for exp in $EXPERIMENTS; do
         continue
     fi
     out=$(mktemp)
-    TW_SCALE_DIV=2000 TW_THREADS=2 \
-        "$BUILD/bench/bench_driver" --run "$exp" --report \
-        | mask > "$out"
+    "$BUILD/bench/bench_driver" --run "$exp" --report \
+        --scale 2000 --threads 2 | mask > "$out"
     if diff -u "$golden" "$out" > /dev/null 2>&1; then
         echo "migration_diff: $exp OK"
     else

@@ -46,8 +46,8 @@ fail() {
 SCALE="${TW_SCALE_DIV:-2000}"
 
 # ---- fig2 with the full spine on ----------------------------------
-(cd "$T" && TW_SCALE_DIV="$SCALE" TW_THREADS=2 "$DRIVER" \
-    --run fig2 --metrics --trace-out trace.json \
+(cd "$T" && "$DRIVER" --run fig2 --scale "$SCALE" --threads 2 \
+    --metrics --trace-out trace.json \
     --rows rows_on.ndjson > driver_on.txt) \
     || fail "bench_driver --metrics --trace-out exited nonzero"
 
@@ -87,8 +87,8 @@ run_ctr=$(grep -oE '"trials\.run"[: ]+[0-9.]+' "$BENCH" \
 echo "obs_smoke: BENCH report carries engine counters under metrics"
 
 # ---- bit-identity: same rows with the spine off -------------------
-(cd "$T" && TW_SCALE_DIV="$SCALE" TW_THREADS=2 "$DRIVER" \
-    --run fig2 --rows rows_off.ndjson > driver_off.txt) \
+(cd "$T" && "$DRIVER" --run fig2 --scale "$SCALE" --threads 2 \
+    --rows rows_off.ndjson > driver_off.txt) \
     || fail "plain bench_driver run exited nonzero"
 diff -u "$T/rows_off.ndjson" "$T/rows_on.ndjson" \
     || fail "canonical rows differ with metrics/tracing enabled"

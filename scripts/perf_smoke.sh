@@ -1,8 +1,9 @@
 #!/bin/sh
 # Perf smoke test for the trap-filtered hit fast paths.
 #
-# Runs the instrumented large-cache fig2 row (1M icache, miss ratio
-# well under 1%) with TW_FIG2_DCACHE=1, so ONE run measures BOTH
+# Runs the fig2_rate host-rate probe: the instrumented large-cache
+# fig2 row (1M icache, miss ratio well under 1%) once as an I-cache
+# and once as a unified cache, so ONE run measures BOTH
 # instantiations of the span loop on their hit-dominated
 # configurations:
 #
@@ -18,8 +19,7 @@
 # path shows up as a many-x drop, far below the threshold, while
 # machine-to-machine variation stays well above it. The run happens
 # in a scratch directory so the checked-in BENCH json is untouched,
-# and at the 1/20 scale the floors were set at, whatever
-# TW_SCALE_DIV the caller exports.
+# at the 1/20 scale and the one thread the floors were set at.
 #
 # Usage: scripts/perf_smoke.sh [build-dir]
 set -e
@@ -40,9 +40,8 @@ trap 'rm -rf "$T"' EXIT
 
 # 1/20 scale runs ~100M references (~150 ms): long enough that the
 # rate is not dominated by per-trial setup or timer noise.
-(cd "$T" && TW_FIG2_ONLY_KB=1024 TW_FIG2_DCACHE=1 \
-    TW_SCALE_DIV=20 TW_THREADS=1 \
-    "$BENCH" --run fig2 --report > /dev/null)
+(cd "$T" && "$BENCH" --run fig2_rate --scale 20 --threads 1 \
+    --report > /dev/null)
 
 json_num() {
     awk -F: -v k="\"$2\"" '$1 ~ k { gsub(/[ ,]/, "", $2); print $2 }' "$1"
@@ -50,7 +49,7 @@ json_num() {
 
 status=0
 for key in tw_refs_per_sec twd_refs_per_sec; do
-    rate=$(json_num "$T/BENCH_fig2_slowdowns.json" "$key")
+    rate=$(json_num "$T/BENCH_fig2_rate.json" "$key")
     base=$(json_num "$BASELINE" "$key")
     if [ -z "$rate" ] || [ -z "$base" ]; then
         echo "perf_smoke: FAIL ($key: rate='$rate' base='$base')" >&2

@@ -3,13 +3,13 @@
 # end to end.
 #
 #  1. fig2 (mpeg_play I-cache sweep, ~1M-ref budget at the smoke
-#     scale) runs twice with DMA quiesced (TW_NO_DMA=1): once full,
+#     scale) runs twice with DMA quiesced (--no-dma): once full,
 #     once with representative-interval sampling at a 1024-ref
-#     interval. Every tw/<size> estimate must land within 2% of the
+#     interval (--sample --sample-interval 1024). Every tw/<size> estimate must land within 2% of the
 #     full run (or inside 3x its own reported CI half-width), and the
 #     sweep must replay at least 10x fewer references than it
 #     estimates for (BENCH sample_refs_total / sample_refs_simulated).
-#  2. table8 with TW_CI_TARGET=0.10 turns the fixed 16-trial plan
+#  2. table8 with --ci-target 0.10 turns the fixed 16-trial plan
 #     into an adaptive one: the total trial count must drop below the
 #     fixed plan's, and the obs registry must show sampling and
 #     early-stop counters moving.
@@ -37,16 +37,15 @@ fail() {
 SCALE="${TW_SCALE_DIV:-2000}"
 
 # ---- fig2: full vs interval-sampled, same DMA-quiesced specs ------
-(cd "$T" && TW_NO_DMA=1 TW_SCALE_DIV="$SCALE" TW_THREADS=2 \
-    "$DRIVER" --run fig2 --rows rows_full.ndjson > full.txt) \
+(cd "$T" && "$DRIVER" --run fig2 --scale "$SCALE" --threads 2 \
+    --no-dma --rows rows_full.ndjson > full.txt) \
     || fail "full fig2 run exited nonzero"
 # 1024-ref intervals give the ~300K-ref smoke budget a few hundred
 # intervals to cluster (the 16384 default leaves too few intervals
 # over the ~18 representatives for a 10x win at this scale).
-(cd "$T" && TW_NO_DMA=1 TW_SAMPLE=1 TW_SAMPLE_INTERVAL=1024 \
-    TW_SCALE_DIV="$SCALE" TW_THREADS=2 \
-    "$DRIVER" --run fig2 --metrics --rows rows_sampled.ndjson \
-    > sampled.txt) \
+(cd "$T" && "$DRIVER" --run fig2 --scale "$SCALE" --threads 2 \
+    --no-dma --sample --sample-interval 1024 \
+    --metrics --rows rows_sampled.ndjson > sampled.txt) \
     || fail "sampled fig2 run exited nonzero"
 
 # unit estMisses [ciHalfWidth] per tw/<size> row, one line each.
@@ -112,8 +111,8 @@ done
 echo "sample_smoke: engine.sample.* counters present in the obs snapshot"
 
 # ---- table8: CI-driven adaptive stopping --------------------------
-(cd "$T" && TW_CI_TARGET=0.10 TW_SCALE_DIV="$SCALE" TW_THREADS=2 \
-    "$DRIVER" --run table8 --metrics > table8.txt) \
+(cd "$T" && "$DRIVER" --run table8 --scale "$SCALE" --threads 2 \
+    --ci-target 0.10 --metrics > table8.txt) \
     || fail "adaptive table8 run exited nonzero"
 T8="$T/BENCH_table8_sampling.json"
 [ -f "$T8" ] || fail "missing $T8"

@@ -103,9 +103,14 @@ echo "serve_smoke: oversized sweep rejected overloaded"
 
 # ---- A served registry experiment is bit-identical to local -------
 # fig2 has more jobs than the admission-control daemon's queue of 4,
-# so this phase gets its own daemon with room for the full grid.
+# so this phase gets its own daemon with room for the full grid. It
+# starts under environment variables naming non-default experiment
+# settings (pricing, sampling, an extra fig2 unit): a served
+# experiment depends on its request alone, so the rows must still
+# match a local run started without them.
 ESOCK="/tmp/twserved-smoke-exp-$$.sock"
-"$SERVED" --socket "$ESOCK" --workers 2 --queue 64 --quiet &
+TW_COST_BACKEND=ideal TW_FIG2_DCACHE=1 TW_SAMPLE=1 \
+    "$SERVED" --socket "$ESOCK" --workers 2 --queue 64 --quiet &
 EPID=$!
 "$CTL" --socket "$ESOCK" ping --retry 100 --retry-delay-ms 50 \
     > /dev/null 2>&1 || fail "experiment daemon did not answer ping"

@@ -14,7 +14,7 @@ namespace tw
 namespace
 {
 
-/** The component tag for TW_LOG=json lines. A plain pointer set
+/** The component tag for structured lines. A plain pointer set
  *  once at startup (see setLogComponent's contract). */
 const char *logComponent = "tw";
 
@@ -28,22 +28,14 @@ logThreadId()
     return id;
 }
 
-/** Consulted once; flipping TW_LOG mid-run is not supported. */
-bool
-jsonMode()
-{
-    static bool on = [] {
-        const char *v = std::getenv("TW_LOG");
-        return v && std::string(v) == "json";
-    }();
-    return on;
-}
+/** Set by setLogJson() at startup; default human lines. */
+std::atomic<bool> jsonLines{false};
 
 void
 emit(const char *level, const char *human_prefix,
      const std::string &msg)
 {
-    if (!jsonMode()) {
+    if (!jsonLines.load(std::memory_order_relaxed)) {
         // Byte-identical to the historical format.
         std::fprintf(stderr, "%s: %s\n", human_prefix, msg.c_str());
         return;
@@ -65,10 +57,10 @@ setLogComponent(const char *name)
     logComponent = name;
 }
 
-bool
-logJsonEnabled()
+void
+setLogJson(bool on)
 {
-    return jsonMode();
+    jsonLines.store(on, std::memory_order_relaxed);
 }
 
 std::string

@@ -52,14 +52,15 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Name this process's log component tag ("twserved", "bench", ...).
- * Only visible in TW_LOG=json output; the default human format is
- * unchanged. Call once at startup, before spawning threads.
+ * Only visible in structured (setLogJson) output; the default human
+ * format is unchanged. Call once at startup, before spawning threads.
  */
 void setLogComponent(const char *name);
 
-/** True when TW_LOG=json selected structured log lines (the
- *  environment is consulted once, at first log call). */
-bool logJsonEnabled();
+/** Emit warn()/inform() as structured JSON lines (logLineJson)
+ *  instead of the human format. twserved's main() turns this on for
+ *  TW_LOG=json. Call once at startup, before spawning threads. */
+void setLogJson(bool on);
 
 /**
  * Render one structured log line (no trailing newline):

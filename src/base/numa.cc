@@ -116,14 +116,6 @@ setTopologyForTest(Topology topo)
 bool
 pinningEnabled()
 {
-    static const int mode = [] {
-        const char *env = std::getenv("TW_PIN");
-        if (!env || !*env)
-            return -1; // auto: pin iff multi-node
-        return std::strcmp(env, "0") != 0 ? 1 : 0;
-    }();
-    if (mode >= 0)
-        return mode == 1;
     return topology().nodes() > 1;
 }
 

@@ -10,10 +10,8 @@
  * single-counter path — bit-identical results either way, since
  * trials only ever write their own index.
  *
- * Policy knob: TW_PIN=0 disables worker pinning, TW_PIN=1 forces it
- * even on one node (useful for benchmarking pinned vs floating on
- * any host). Default: pin only when the host has multiple nodes,
- * where locality actually pays.
+ * Pinning policy: pin workers only when the host has multiple
+ * nodes, where locality actually pays. There is no setting for it.
  */
 
 #ifndef TW_BASE_NUMA_HH
@@ -48,8 +46,8 @@ const Topology &topology();
  *  Not thread-safe: call only from a quiescent test main thread. */
 void setTopologyForTest(Topology topo);
 
-/** Should parallelFor pin workers? (TW_PIN / multi-node default —
- *  see file comment.) */
+/** Should parallelFor pin workers? (Multi-node hosts only — see
+ *  file comment.) */
 bool pinningEnabled();
 
 /** Pin the calling thread to @p node's CPUs. Returns false (and

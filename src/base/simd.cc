@@ -1,8 +1,5 @@
 #include "base/simd.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
 #define TW_SIMD_X86 1
@@ -198,17 +195,12 @@ install(Level level)
     }
 }
 
-// Applies TW_NO_SIMD and installs the host-widest implementations
-// before main() runs; setEnabled() re-installs later.
+// Installs the host-widest implementations before main() runs, so
+// a program that never calls setEnabled() scans wide; setEnabled()
+// re-installs later.
 struct Init
 {
-    Init()
-    {
-        const char *env = std::getenv("TW_NO_SIMD");
-        bool on = !(env && env[0] && std::strcmp(env, "0") != 0);
-        enabledFlag.store(on, std::memory_order_relaxed);
-        install(on ? probeHost() : Level::Scalar);
-    }
+    Init() { install(probeHost()); }
 };
 Init initOnce;
 

@@ -17,13 +17,15 @@
  * std::uint64_t-word loop — selected once per process by CPUID.
  * Every implementation computes the EXACT same answer (scans never
  * read outside the given range, tails are masked or handled
- * scalar), so results are bit-identical across hosts and across
- * TW_NO_SIMD settings; only the host cycle count changes.
+ * scalar), so results are bit-identical across hosts and dispatch
+ * levels; only the host cycle count changes.
  *
- * Dispatch is a relaxed function-pointer load. The scalar fallback
- * is forced by the TW_NO_SIMD environment variable, the
- * bench_driver --no-simd flag (both land in setEnabled(false)), or
- * a host without the required ISA.
+ * Dispatch is a relaxed function-pointer load. A static initializer
+ * installs the host-widest level before main() runs and reads no
+ * environment. The scalar fallback is forced only by a caller —
+ * bench_driver --no-simd, or TW_NO_SIMD in the test main, both
+ * through setEnabled(false) — or by a host without the required
+ * ISA.
  */
 
 #ifndef TW_BASE_SIMD_HH
@@ -51,13 +53,13 @@ enum class Level
 /** Human-readable level name ("scalar", "avx2", "avx512"). */
 const char *levelName(Level level);
 
-/** Widest level the host CPU supports (ignores TW_NO_SIMD). */
+/** Widest level the host CPU supports (ignores setEnabled()). */
 Level detectedLevel();
 
 /**
  * The level scans currently dispatch to: detectedLevel() unless
- * wide scans are disabled (TW_NO_SIMD / setEnabled(false)), in
- * which case Scalar.
+ * wide scans are disabled (setEnabled(false)), in which case
+ * Scalar.
  */
 Level activeLevel();
 

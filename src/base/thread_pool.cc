@@ -1,7 +1,6 @@
 #include "base/thread_pool.hh"
 
 #include <atomic>
-#include <cstdlib>
 #include <vector>
 
 #include "base/numa.hh"
@@ -82,25 +81,12 @@ namespace
 
 std::atomic<unsigned> default_threads_override{0};
 
-unsigned
-envThreads()
-{
-    const char *env = std::getenv("TW_THREADS");
-    if (!env || !*env)
-        return 0;
-    long v = std::strtol(env, nullptr, 10);
-    return v > 0 ? static_cast<unsigned>(v) : 0;
-}
-
 } // anonymous namespace
 
 unsigned
 defaultThreads()
 {
     unsigned n = default_threads_override.load(std::memory_order_relaxed);
-    if (n != 0)
-        return n;
-    n = envThreads();
     return n != 0 ? n : hardwareThreads();
 }
 

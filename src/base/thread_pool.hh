@@ -70,14 +70,14 @@ class ThreadPool
 unsigned hardwareThreads();
 
 /**
- * The harness-wide default worker count: the last value passed to
- * setDefaultThreads(), else the TW_THREADS environment variable,
- * else the hardware thread count.
+ * The harness-wide default worker count: the last nonzero value
+ * passed to setDefaultThreads(), else the hardware thread count.
+ * The library reads no environment: a program's main() sets it
+ * from its --threads flag (the test main from TW_THREADS).
  */
 unsigned defaultThreads();
 
-/** Override defaultThreads() (0 restores the TW_THREADS/hardware
- *  fallback). The bench binaries' --threads knob lands here. */
+/** Override defaultThreads() (0 restores the hardware count). */
 void setDefaultThreads(unsigned n);
 
 /**

@@ -63,14 +63,29 @@ derivedTrialSeeds(unsigned n, std::uint64_t base)
 // --------------------------------------------------------------------
 // Job enumeration and canonical rows.
 
+namespace
+{
+
+/** @p opts with its scale resolved for @p def: what a grid sees. */
+RunExperimentOptions
+resolved(const ExperimentDef &def, const RunExperimentOptions &opts)
+{
+    RunExperimentOptions out = opts;
+    out.scaleDiv = experimentScale(def, opts.scaleDiv);
+    return out;
+}
+
+} // namespace
+
 std::vector<ExperimentJob>
-experimentJobs(const ExperimentDef &def, unsigned scale)
+experimentJobs(const ExperimentDef &def,
+               const RunExperimentOptions &opts)
 {
     std::vector<ExperimentJob> jobs;
     if (!def.grid)
         return jobs;
     std::uint64_t seq = 0;
-    for (const auto &unit : def.grid(scale)) {
+    for (const auto &unit : def.grid(resolved(def, opts))) {
         for (std::size_t t = 0; t < unit.plan.seeds.size(); ++t) {
             ExperimentJob job;
             job.unit = unit.id;
@@ -317,11 +332,11 @@ ExperimentContext::note(const std::string &key, const std::string &value)
 // Engine.
 
 unsigned
-experimentScale(const ExperimentDef &def, unsigned override_scale)
+experimentScale(const ExperimentDef &def, unsigned scale_div)
 {
-    if (override_scale)
-        return override_scale;
-    return def.envScale ? envScaleDiv(def.scaleDiv) : def.scaleDiv;
+    if (def.fixedScale || scale_div == 0)
+        return def.scaleDiv;
+    return scale_div;
 }
 
 void
@@ -330,7 +345,8 @@ runExperiment(const ExperimentDef &def, StatSink &sink,
 {
     obs::ScopedSpan expSpan(std::string("experiment:") + def.name,
                             "harness");
-    unsigned scale = experimentScale(def, opts.scaleDiv);
+    const RunExperimentOptions gridOpts = resolved(def, opts);
+    const unsigned scale = gridOpts.scaleDiv;
     sink.begin(def, scale);
 
     if (def.banner) {
@@ -348,7 +364,7 @@ runExperiment(const ExperimentDef &def, StatSink &sink,
 
     ExperimentContext ctx(sink, scale, opts.report);
     if (def.grid)
-        ctx.units_ = def.grid(scale);
+        ctx.units_ = def.grid(gridOpts);
 
     // Flatten every fixed-plan (unit, trial) into one parallelFor so
     // a sweep saturates the pool even when units run few trials.
@@ -481,11 +497,11 @@ makeSmoke()
     def.report = "smoke";
     def.scaleDiv = 2000;
     def.banner = false;
-    def.grid = [](unsigned scale) {
+    def.grid = [](const RunExperimentOptions &opts) {
         std::vector<ExperimentUnit> units;
         for (std::uint64_t kb : {4, 16}) {
             RunSpec spec;
-            spec.workload = makeWorkload("espresso", scale);
+            spec.workload = makeWorkload("espresso", opts.scaleDiv);
             spec.sys.scope = SimScope::userOnly();
             spec.sim = SimKind::Tapeworm;
             spec.tw.cache = CacheConfig::icache(kb * 1024, 16, 1,

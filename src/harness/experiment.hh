@@ -22,10 +22,11 @@
  *    experiment knowing which are attached.
  *
  * Determinism contract: unit enumeration (experimentJobs) is a pure
- * function of (def, scale); trials dispatch through parallelFor with
- * per-index writes, so every outcome (minus hostSeconds) is
- * bit-identical to a serial run at any thread count — the PR 2
- * guarantee, inherited wholesale.
+ * function of (def, RunExperimentOptions) — the grid reads no
+ * environment, so every setting a run depends on is in its
+ * arguments; trials dispatch through parallelFor with per-index
+ * writes, so every outcome (minus hostSeconds) is bit-identical to a
+ * serial run at any thread count.
  */
 
 #ifndef TW_HARNESS_EXPERIMENT_HH
@@ -102,6 +103,38 @@ struct ExperimentDef;
 class ExperimentContext;
 
 /**
+ * Everything a run of an experiment depends on besides its
+ * definition. A grid receives these with the scale resolved, so the
+ * caller — bench_driver's flags, a run_experiment request, a test —
+ * is the one place a setting comes from. The defaults are the
+ * paper's setup: table5 pricing, no sampling, DMA on, fixed trial
+ * plans.
+ */
+struct RunExperimentOptions
+{
+    /** Workload scale divisor; 0 = the experiment's own
+     *  (def.scaleDiv). Fixed-scale experiments ignore it. */
+    unsigned scaleDiv = 0;
+    /** Emit the [report] presentation extras (the driver pairs this
+     *  with a JsonReportSink). */
+    bool report = false;
+    /** Miss-cost backend of every unit built on the default spec;
+     *  the default keeps the default spec bytes. */
+    CostBackendConfig costBackend{};
+    /** Representative-interval sampling for the units that can be
+     *  eligible (disabled = the full run, bit-identical). */
+    SampleConfig sample{};
+    /** Zero SystemConfig::dmaFlushPeriod on those same units: the
+     *  sampled-vs-full comparison runs both sides without DMA frame
+     *  recycling, which the stream-driven estimator does not
+     *  model. */
+    bool noDma = false;
+    /** Adaptive stopping for the variation sweeps; disabled = the
+     *  fixed trial plans. */
+    StopRule stopRule{};
+};
+
+/**
  * One declarative experiment. `grid` builds the servable part (may
  * be empty for host-probe style artifacts); `present` renders the
  * human table from the grid outcomes and may run bespoke
@@ -118,15 +151,19 @@ struct ExperimentDef
     std::string description;
     /** BENCH_<report>.json stem; empty = no machine report. */
     std::string report;
-    /** Default workload scale divisor (before TW_SCALE_DIV). */
+    /** Default workload scale divisor (RunExperimentOptions::scaleDiv
+     *  overrides it). */
     unsigned scaleDiv = 200;
-    /** false: the artifact ignores TW_SCALE_DIV (e.g. synthetic
-     *  streams that don't scale). */
-    bool envScale = true;
+    /** true: the artifact always runs at scaleDiv and no scale
+     *  setting applies (e.g. synthetic streams that don't scale). */
+    bool fixedScale = false;
     /** Print the standard banner before the run. */
     bool banner = true;
-    /** Build the spec grid for @p scale. Null = no grid. */
-    std::function<std::vector<ExperimentUnit>(unsigned scale)> grid;
+    /** Build the spec grid under @p opts (scaleDiv resolved). Null =
+     *  no grid. */
+    std::function<std::vector<ExperimentUnit>(
+        const RunExperimentOptions &opts)>
+        grid;
     /** Render tables/metrics from the outcomes. Null = rows only. */
     std::function<void(ExperimentContext &ctx)> present;
 };
@@ -144,13 +181,14 @@ struct ExperimentJob
 };
 
 /**
- * The deterministic job enumeration of @p def at @p scale: units in
+ * The deterministic job enumeration of @p def under @p opts: units in
  * grid order, trials in plan order, seq densely increasing from 0.
  * Local driver and server both run exactly this list, which is what
  * makes their rows (and ResultCache keys) bit-identical.
  */
-std::vector<ExperimentJob> experimentJobs(const ExperimentDef &def,
-                                          unsigned scale);
+std::vector<ExperimentJob>
+experimentJobs(const ExperimentDef &def,
+               const RunExperimentOptions &opts);
 
 /** One result row flowing through a StatSink. */
 struct ExperimentRow
@@ -352,9 +390,8 @@ class ExperimentContext
     void note(const std::string &key, const std::string &value);
 
   private:
-    friend void runExperiment(const ExperimentDef &,
-                              StatSink &,
-                              const struct RunExperimentOptions &);
+    friend void runExperiment(const ExperimentDef &, StatSink &,
+                              const RunExperimentOptions &);
 
     ExperimentContext(StatSink &sink, unsigned scale, bool report)
         : sink_(sink), scale_(scale), report_(report)
@@ -368,19 +405,9 @@ class ExperimentContext
     std::map<std::string, std::vector<RunOutcome>> outcomes_;
 };
 
-struct RunExperimentOptions
-{
-    /** Override the scale divisor; 0 = envScaleDiv(def.scaleDiv)
-     *  (or def.scaleDiv verbatim when !def.envScale). */
-    unsigned scaleDiv = 0;
-    /** Emit the [report] presentation extras (the driver pairs this
-     *  with a JsonReportSink). */
-    bool report = false;
-};
-
-/** The scale a run of @p def uses under @p override_scale. */
-unsigned experimentScale(const ExperimentDef &def,
-                         unsigned override_scale);
+/** The scale a run of @p def uses when asked for @p scale_div
+ *  (0 = the experiment's own; a fixed-scale experiment ignores it). */
+unsigned experimentScale(const ExperimentDef &def, unsigned scale_div);
 
 /**
  * Run @p def: banner, grid (trials in parallel, rows streamed in

@@ -1,7 +1,6 @@
 #include "harness/runner.hh"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -36,17 +35,6 @@ struct BaselineEntry
 
 constexpr std::size_t kDefaultBaselineCap = 4096;
 
-std::size_t
-envBaselineCap()
-{
-    if (const char *cap = std::getenv("TW_BASELINE_CAP")) {
-        long v = std::atol(cap);
-        if (v > 0)
-            return static_cast<std::size_t>(v);
-    }
-    return kDefaultBaselineCap;
-}
-
 std::mutex baselinesMutex;
 std::uint64_t baselineHits = 0;
 std::uint64_t baselineMisses = 0;
@@ -55,7 +43,7 @@ LruMap<std::string, std::shared_ptr<BaselineEntry>> &
 baselines()
 {
     static LruMap<std::string, std::shared_ptr<BaselineEntry>> map(
-        envBaselineCap());
+        kDefaultBaselineCap);
     return map;
 }
 

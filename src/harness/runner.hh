@@ -182,10 +182,10 @@ class Runner
     static void clearBaselineCache();
 
     /**
-     * Cap the baseline memo at @p entries (>= 1). The default,
-     * overridable via TW_BASELINE_CAP, is 4096 — comfortably above
-     * any bench sweep (a sweep shares one baseline per trial seed)
-     * while bounding a resident daemon to a few hundred KB of memo.
+     * Cap the baseline memo at @p entries (>= 1). The default is
+     * 4096 — comfortably above any bench sweep (a sweep shares one
+     * baseline per trial seed) while bounding a resident daemon to a
+     * few hundred KB of memo; twserved --baseline-cap sets it.
      */
     static void setBaselineCacheCapacity(std::size_t entries);
 

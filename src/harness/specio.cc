@@ -1,5 +1,6 @@
 #include "harness/specio.hh"
 
+#include <limits>
 #include <vector>
 
 #include "base/logging.hh"
@@ -158,22 +159,27 @@ class Fields
     void
     u32(const char *key, std::uint32_t &out)
     {
-        if (const Json *v = requireNumber(key))
-            out = static_cast<std::uint32_t>(v->asU64());
+        unsignedIn(key, out);
     }
 
     void
     uns(const char *key, unsigned &out)
     {
-        if (const Json *v = requireNumber(key))
-            out = static_cast<unsigned>(v->asU64());
+        unsignedIn(key, out);
     }
 
     void
     i32(const char *key, std::int32_t &out)
     {
-        if (const Json *v = requireNumber(key))
-            out = static_cast<std::int32_t>(v->asI64());
+        const Json *v = requireNumber(key);
+        if (!v)
+            return;
+        std::int64_t x = v->asI64();
+        if (x < std::numeric_limits<std::int32_t>::min()
+            || x > std::numeric_limits<std::int32_t>::max())
+            outOfRange(key);
+        else
+            out = static_cast<std::int32_t>(x);
     }
 
     void
@@ -252,6 +258,28 @@ class Fields
     }
 
   private:
+    /** Read an unsigned field, refusing a value its type cannot
+     *  hold (negative, or too wide) instead of narrowing it. */
+    template <typename U>
+    void
+    unsignedIn(const char *key, U &out)
+    {
+        const Json *v = requireNumber(key);
+        if (!v)
+            return;
+        std::uint64_t x = v->asU64();
+        if (v->isNegative() || x > std::numeric_limits<U>::max())
+            outOfRange(key);
+        else
+            out = static_cast<U>(x);
+    }
+
+    void
+    outOfRange(const char *key)
+    {
+        fail("%s: field '%s' is out of range", what_, key);
+    }
+
     const Json *
     requireNumber(const char *key)
     {

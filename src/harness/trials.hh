@@ -31,7 +31,9 @@ namespace tw
  * bit-identical to the same-length prefix of the full sweep at any
  * thread count — and its per-trial cache keys are the full plan's
  * keys (TrialPlan never enters the key), so a later full sweep
- * reuses every trial an adaptive sweep already paid for.
+ * reuses every trial an adaptive sweep already paid for. A caller
+ * supplies the rule: experiment grids receive it in
+ * RunExperimentOptions::stopRule (bench_driver --ci-target).
  */
 struct StopRule
 {
@@ -81,7 +83,7 @@ struct AdaptiveTrialsResult
  *
  * @param with_slowdown also run (memoized) baselines and fill the
  *        slowdown fields.
- * @param threads worker count; 0 = defaultThreads() (TW_THREADS).
+ * @param threads worker count; 0 = defaultThreads().
  */
 std::vector<RunOutcome> runTrials(const RunSpec &spec, unsigned n,
                                   std::uint64_t base_seed,

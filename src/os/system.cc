@@ -298,7 +298,7 @@ namespace
  * Any trap bit set in the host page starting at @p pa_base? Tests
  * the filter words covering the page with one wide all-zero scan
  * (simd::anyBitsInWords — AVX-512/AVX2 vptest-style blocks, scalar
- * word loop under TW_NO_SIMD) — when a word overhangs the page
+ * word loop when wide scans are off) — when a word overhangs the page
  * (granule words wider than a page) neighbouring pages' bits leak in
  * and the answer is conservatively true, which only costs a per-ref
  * probe, never a missed trap.

@@ -260,7 +260,8 @@ class System
     Counter obsUtlbHits_ = 0;
     Counter obsUtlbMisses_ = 0;
     /** Bitmap/span scans served by a wide implementation vs the
-     *  scalar fallback (TW_NO_SIMD or an unsupporting host). */
+     *  scalar fallback (simd::setEnabled(false) or an unsupporting
+     *  host). */
     Counter obsSimdWide_ = 0;
     Counter obsSimdScalar_ = 0;
 

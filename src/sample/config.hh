@@ -108,22 +108,6 @@ struct SampleOutcome
     double ciHalfWidth = 0.0;
 };
 
-/**
- * TW_SAMPLE / TW_SAMPLE_* environment knobs, read by experiment
- * grids (and set by `bench_driver --sample`). TW_SAMPLE unset or
- * "0" returns a default (disabled) config — the bit-identical path.
- * TW_SAMPLE_INTERVAL, TW_SAMPLE_WARMUP, TW_SAMPLE_CLUSTERS and
- * TW_SAMPLE_PER_CLUSTER override the corresponding fields.
- */
-SampleConfig sampleConfigFromEnv();
-
-/** TW_NO_DMA set and nonzero: experiment grids zero
- *  SystemConfig::dmaFlushPeriod. DMA frame recycling is an OS-level
- *  perturbation the stream-driven estimator deliberately does not
- *  model (it is part of the eligibility gate), so sampled-vs-full
- *  comparisons run both sides with it off. */
-bool envNoDma();
-
 } // namespace tw
 
 #endif // TW_SAMPLE_CONFIG_HH

@@ -31,6 +31,12 @@
  * are torn down. A client whose sweep was admitted before the
  * signal gets complete results; one submitting after gets
  * `shutting_down`.
+ *
+ * Configuration: the server takes its settings from ServerConfig
+ * (twserved's flags) and reads no environment. A run_experiment runs
+ * the registry grid at the request's scale with every other
+ * experiment option at its default, so a served experiment depends
+ * on its request alone, never on how the daemon was started.
  */
 
 #ifndef TW_SERVE_SERVER_HH
@@ -68,7 +74,7 @@ struct ServerConfig
     int tcpPort = 0;
     std::string tcpBind = "127.0.0.1";
 
-    /** Worker threads; 0 = defaultThreads() (TW_THREADS). */
+    /** Worker threads; 0 = defaultThreads(). */
     unsigned workers = 0;
 
     /** Job-queue bound: the backpressure knob. A submit whose

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -120,11 +121,16 @@ decodeRunExperiment(const Json &req, TrialRequest &out,
         ExperimentRegistry::instance().find(ej->asString());
     if (!def)
         return bad(err, "unknown experiment '" + ej->asString() + "'");
-    unsigned scaleOverride = 0;
+    // A served experiment depends on its request alone: the scale is
+    // its one setting, and the grid runs every other option at its
+    // default (the paper setup).
+    RunExperimentOptions opts;
     if (const Json *j = req.find("scale")) {
         if (!j->isNumber() || j->isNegative())
             return bad(err, "scale must be a non-negative number");
-        scaleOverride = static_cast<unsigned>(j->asU64());
+        if (j->asU64() > std::numeric_limits<unsigned>::max())
+            return bad(err, "scale is out of range");
+        opts.scaleDiv = static_cast<unsigned>(j->asU64());
     }
 
     // The SAME deterministic enumeration bench_driver runs locally:
@@ -137,8 +143,7 @@ decodeRunExperiment(const Json &req, TrialRequest &out,
     // adaptive local run may stop short of — so all-or-nothing
     // admission sizes against a known worst case.
     out.experiment = def->name;
-    std::vector<ExperimentJob> jobs =
-        experimentJobs(*def, experimentScale(*def, scaleOverride));
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, opts);
     out.trials.resize(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         ExperimentJob &job = jobs[i];

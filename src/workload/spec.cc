@@ -1,5 +1,8 @@
 #include "workload/spec.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "base/logging.hh"
@@ -251,14 +254,16 @@ makeSuite(unsigned scale_div)
 }
 
 unsigned
-envScaleDiv(unsigned fallback)
+parseScaleDiv(const char *text, unsigned fallback)
 {
-    const char *env = std::getenv("TW_SCALE_DIV");
-    if (!env)
+    if (!text)
         return fallback;
-    long v = std::strtol(env, nullptr, 10);
-    if (v <= 0) {
-        warn("ignoring bad TW_SCALE_DIV='%s'", env);
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end
+        || errno != 0 || v == 0 || v > UINT_MAX) {
+        warn("ignoring bad TW_SCALE_DIV='%s'", text);
         return fallback;
     }
     return static_cast<unsigned>(v);

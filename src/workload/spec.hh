@@ -130,11 +130,12 @@ WorkloadSpec makeWorkload(const std::string &name,
 std::vector<WorkloadSpec> makeSuite(unsigned scale_div = 100);
 
 /**
- * Scale divisor taken from the TW_SCALE_DIV environment variable,
- * or @p fallback when unset — used by every bench so CI can run a
- * quick pass.
+ * The scale divisor @p text names — the value of TW_SCALE_DIV, which
+ * the programs without a --scale flag read in main() — or
+ * @p fallback when @p text is null. A value that is not a positive
+ * 32-bit integer warns and yields @p fallback.
  */
-unsigned envScaleDiv(unsigned fallback = 100);
+unsigned parseScaleDiv(const char *text, unsigned fallback);
 
 } // namespace tw
 

@@ -90,5 +90,23 @@ TEST(LogJson, EscapesAndParsesBack)
     EXPECT_EQ(j.find("ts")->asString(), "2024-05-31T16:08:37.123Z");
 }
 
+TEST(LogJson, SetterSwitchesWarnLines)
+{
+    // twserved's main() calls setLogJson(true) for TW_LOG=json.
+    setLogJson(true);
+    ::testing::internal::CaptureStderr();
+    warn("disk %d", 7);
+    std::string json = ::testing::internal::GetCapturedStderr();
+    setLogJson(false);
+    ::testing::internal::CaptureStderr();
+    warn("disk %d", 7);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "warn: disk 7\n");
+
+    Json j;
+    ASSERT_TRUE(Json::parse(json, j, nullptr)) << json;
+    EXPECT_EQ(j.find("level")->asString(), "warn");
+    EXPECT_EQ(j.find("msg")->asString(), "disk 7");
+}
+
 } // namespace
 } // namespace tw

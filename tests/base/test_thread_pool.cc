@@ -88,10 +88,12 @@ TEST(ParallelFor, IndexOwnedWritesAreOrdered)
 
 TEST(ParallelFor, DefaultWidthRespectsOverride)
 {
+    const unsigned before = defaultThreads();
     setDefaultThreads(3);
     EXPECT_EQ(defaultThreads(), 3u);
-    setDefaultThreads(0); // restore TW_THREADS / hardware fallback
-    EXPECT_GE(defaultThreads(), 1u);
+    setDefaultThreads(0); // the hardware count
+    EXPECT_EQ(defaultThreads(), hardwareThreads());
+    setDefaultThreads(before); // what the test main set
 }
 
 /** Inject a fake multi-node topology for one test, restoring the

@@ -143,7 +143,7 @@ TEST(ExperimentAdaptive, JobEnumerationIgnoresStopRule)
     // surprise the queue.
     ExperimentDef def;
     def.name = "adaptive-enum-test";
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         std::vector<ExperimentUnit> units;
         ExperimentUnit a;
         a.id = "a";
@@ -157,7 +157,7 @@ TEST(ExperimentAdaptive, JobEnumerationIgnoresStopRule)
         units.push_back(std::move(b));
         return units;
     };
-    std::vector<ExperimentJob> jobs = experimentJobs(def, 2000);
+    std::vector<ExperimentJob> jobs = experimentJobs(def, {.scaleDiv = 2000});
     ASSERT_EQ(jobs.size(), 10u);
     for (std::size_t i = 0; i < jobs.size(); ++i)
         EXPECT_EQ(jobs[i].seq, i);
@@ -191,7 +191,7 @@ TEST(ExperimentAdaptive, RowsKeepFullEnumerationSeq)
     ExperimentDef def;
     def.name = "adaptive-rows-test";
     def.banner = false;
-    def.grid = [](unsigned) {
+    def.grid = [](const RunExperimentOptions &) {
         std::vector<ExperimentUnit> units;
         ExperimentUnit a;
         a.id = "a";

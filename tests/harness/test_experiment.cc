@@ -33,15 +33,35 @@ namespace
  *  twctl --experiment call these by name. */
 const char *kExpectedNames[] = {
     "breakeven",   "dcache_writepolicy", "dilation_correction",
-    "families",    "fig2",               "fig3",
-    "fig4",        "fragmentation",      "hybrid",
-    "kessler",     "multilevel",         "onepass",
-    "pagecolor",   "resample",           "smoke",
-    "split",       "table10",            "table11",
-    "table12",     "table4",             "table5",
-    "table6",      "table7",             "table8",
-    "table9",
+    "families",    "fig2",               "fig2_rate",
+    "fig3",        "fig4",               "fragmentation",
+    "hybrid",      "kessler",            "multilevel",
+    "onepass",     "pagecolor",          "resample",
+    "smoke",       "split",              "table10",
+    "table11",     "table12",            "table4",
+    "table5",      "table6",             "table7",
+    "table8",      "table9",
 };
+
+/** The settings a grid honours: the defaults (the paper setup) and
+ *  every non-default at once — dram pricing, interval sampling, no
+ *  DMA and a CI stop rule — so the registry tests see the specs
+ *  bench_driver's flags can produce, not only the default ones. */
+std::vector<RunExperimentOptions>
+gridOptions()
+{
+    RunExperimentOptions tuned;
+    tuned.scaleDiv = 2000;
+    std::string err;
+    EXPECT_TRUE(parseCostBackendSpec("dram", tuned.costBackend, err))
+        << err;
+    tuned.sample.enabled = true;
+    tuned.sample.intervalRefs = 1024;
+    tuned.noDma = true;
+    tuned.stopRule.enabled = true;
+    tuned.stopRule.ciRelTarget = 0.1;
+    return {{.scaleDiv = 2000}, tuned};
+}
 
 TEST(ExperimentRegistry, NamesAreUniqueSortedAndStable)
 {
@@ -73,15 +93,17 @@ TEST(ExperimentRegistry, EntriesAreComplete)
 TEST(ExperimentRegistry, UnitIdsUniquePerExperiment)
 {
     auto &registry = ExperimentRegistry::instance();
-    for (const std::string &name : registry.names()) {
-        const ExperimentDef *def = registry.find(name);
-        std::set<std::string> ids;
-        for (const ExperimentUnit &unit : def->grid(2000)) {
-            EXPECT_FALSE(unit.id.empty()) << name;
-            EXPECT_TRUE(ids.insert(unit.id).second)
-                << name << " repeats unit id '" << unit.id << "'";
-            EXPECT_FALSE(unit.plan.seeds.empty())
-                << name << "/" << unit.id;
+    for (const RunExperimentOptions &opts : gridOptions()) {
+        for (const std::string &name : registry.names()) {
+            const ExperimentDef *def = registry.find(name);
+            std::set<std::string> ids;
+            for (const ExperimentUnit &unit : def->grid(opts)) {
+                EXPECT_FALSE(unit.id.empty()) << name;
+                EXPECT_TRUE(ids.insert(unit.id).second)
+                    << name << " repeats unit id '" << unit.id << "'";
+                EXPECT_FALSE(unit.plan.seeds.empty())
+                    << name << "/" << unit.id;
+            }
         }
     }
 }
@@ -89,17 +111,19 @@ TEST(ExperimentRegistry, UnitIdsUniquePerExperiment)
 TEST(ExperimentRegistry, GridSpecsSurviveCanonicalizationBitForBit)
 {
     auto &registry = ExperimentRegistry::instance();
-    for (const std::string &name : registry.names()) {
-        const ExperimentDef *def = registry.find(name);
-        for (const ExperimentUnit &unit : def->grid(2000)) {
-            std::string first = formatRunSpec(unit.spec);
-            RunSpec reparsed;
-            std::string err;
-            ASSERT_TRUE(parseRunSpec(first, reparsed, err))
-                << name << "/" << unit.id << ": " << err;
-            EXPECT_EQ(formatRunSpec(reparsed), first)
-                << name << "/" << unit.id
-                << " does not round-trip canonically";
+    for (const RunExperimentOptions &opts : gridOptions()) {
+        for (const std::string &name : registry.names()) {
+            const ExperimentDef *def = registry.find(name);
+            for (const ExperimentUnit &unit : def->grid(opts)) {
+                std::string first = formatRunSpec(unit.spec);
+                RunSpec reparsed;
+                std::string err;
+                ASSERT_TRUE(parseRunSpec(first, reparsed, err))
+                    << name << "/" << unit.id << ": " << err;
+                EXPECT_EQ(formatRunSpec(reparsed), first)
+                    << name << "/" << unit.id
+                    << " does not round-trip canonically";
+            }
         }
     }
 }
@@ -117,10 +141,10 @@ TEST(Experiment, ScaleResolutionHonorsOverrideAndFixedScales)
     ExperimentDef def;
     def.scaleDiv = 400;
     EXPECT_EQ(experimentScale(def, 123), 123u);
-    def.envScale = false;
+    def.fixedScale = true;
     def.scaleDiv = 1;
     EXPECT_EQ(experimentScale(def, 0), 1u);
-    EXPECT_EQ(experimentScale(def, 7), 7u);
+    EXPECT_EQ(experimentScale(def, 7), 1u);
 }
 
 TEST(Experiment, JobEnumerationIsDenseAndGridOrdered)
@@ -128,10 +152,10 @@ TEST(Experiment, JobEnumerationIsDenseAndGridOrdered)
     const ExperimentDef *def =
         ExperimentRegistry::instance().find("smoke");
     ASSERT_NE(def, nullptr);
-    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, {.scaleDiv = 4000});
     ASSERT_EQ(jobs.size(), 4u); // two sizes x two trials
 
-    std::vector<ExperimentUnit> units = def->grid(4000);
+    std::vector<ExperimentUnit> units = def->grid({.scaleDiv = 4000});
     std::size_t i = 0;
     for (const ExperimentUnit &unit : units) {
         for (std::size_t t = 0; t < unit.plan.seeds.size(); ++t) {
@@ -181,7 +205,7 @@ TEST(Experiment, EngineRowsMatchDirectRunnerCalls)
     opts.scaleDiv = 4000;
     runExperiment(*def, sink, opts);
 
-    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, {.scaleDiv = 4000});
     ASSERT_EQ(sink.rows.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const CollectSink::Row &row = sink.rows[i];

@@ -230,6 +230,17 @@ TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
         {"sys.clockInterval", Json::number(0u), "clockInterval"},
         {"workload.binaries", Json::array(), "binaries"},
         {"workload.taskCount", Json::number(0u), "taskCount"},
+        // Integers outside the field's type are refused, not
+        // narrowed (2^32 + 1 would read as 1, 2^32 + 2 as 2).
+        {"workload.taskCount",
+         Json::number(std::uint64_t{4294967297}),
+         "field 'taskCount' is out of range"},
+        {"sys.cpiBase",
+         Json::number(std::uint64_t{4294967297}),
+         "field 'cpiBase' is out of range"},
+        {"workload.storeEvery",
+         Json::number(std::uint64_t{4294967298}),
+         "field 'storeEvery' is out of range"},
     };
     for (const Case &c : kCases) {
         Json j = withField(specToJson(sampleSpec()), c.path, c.value);

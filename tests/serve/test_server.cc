@@ -370,6 +370,10 @@ TEST(Server, MalformedRequestGetsBadRequest)
     expectError(changed("sys.clockInterval", Json::number(0u)));
     expectError(changed("workload.binaries", Json::array()));
     expectError(changed("workload.taskCount", Json::number(0u)));
+    // An integer outside its field's type must not narrow into a
+    // runnable value (2^32 + 1 tasks would read as one).
+    expectError(changed("workload.taskCount",
+                        Json::number(std::uint64_t{4294967297})));
     // And the daemon is still there to answer.
     ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
     ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
@@ -378,7 +382,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 13u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 14u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 
@@ -609,7 +613,7 @@ TEST(Server, RunExperimentRowsBitIdenticalToLocalEngine)
     // The server ran exactly the registry's job list; re-rendering
     // its rows through experimentRowJson must reproduce the local
     // engine's canonical row stream byte for byte.
-    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, {.scaleDiv = 4000});
     ASSERT_EQ(res.rows.size(), jobs.size());
     EXPECT_EQ(res.computed, jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -655,7 +659,7 @@ TEST(Server, RunExperimentSharesCacheWithAdHocSubmits)
     const ExperimentDef *def =
         ExperimentRegistry::instance().find("smoke");
     ASSERT_NE(def, nullptr);
-    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, {.scaleDiv = 4000});
 
     Client client;
     ASSERT_TRUE(client.connectUnix(path, &err)) << err;
@@ -702,7 +706,7 @@ TEST(Server, StatsCountPerExperimentCacheLookups)
     const ExperimentDef *def =
         ExperimentRegistry::instance().find("smoke");
     ASSERT_NE(def, nullptr);
-    std::size_t jobCount = experimentJobs(*def, 4000).size();
+    std::size_t jobCount = experimentJobs(*def, {.scaleDiv = 4000}).size();
 
     Client client;
     ASSERT_TRUE(client.connectUnix(path, &err)) << err;

@@ -114,6 +114,10 @@ TEST(Wire, MalformedTrialRequestsKeepTheirMessages)
         {"{\"op\":\"run_experiment\",\"experiment\":\"smoke\","
          "\"scale\":-1}",
          "scale must be a non-negative number"},
+        // 2^32 + 1 must not narrow to a 1/1 run.
+        {"{\"op\":\"run_experiment\",\"experiment\":\"smoke\","
+         "\"scale\":4294967297}",
+         "scale is out of range"},
     };
     for (const auto &[line, msg] : kCases) {
         TrialRequest out;
@@ -134,7 +138,7 @@ TEST(Wire, RunExperimentDecodesTheRegistryJobList)
     const ExperimentDef *def =
         ExperimentRegistry::instance().find("smoke");
     ASSERT_NE(def, nullptr);
-    std::vector<ExperimentJob> jobs = experimentJobs(*def, 4000);
+    std::vector<ExperimentJob> jobs = experimentJobs(*def, {.scaleDiv = 4000});
 
     TrialRequest out;
     std::string err;

@@ -137,15 +137,17 @@ TEST(SpecDeath, UnknownWorkload)
                 "unknown workload");
 }
 
-TEST(Spec, EnvScaleDiv)
+TEST(Spec, ParseScaleDiv)
 {
-    unsetenv("TW_SCALE_DIV");
-    EXPECT_EQ(envScaleDiv(123), 123u);
-    setenv("TW_SCALE_DIV", "50", 1);
-    EXPECT_EQ(envScaleDiv(123), 50u);
-    setenv("TW_SCALE_DIV", "garbage", 1);
-    EXPECT_EQ(envScaleDiv(123), 123u);
-    unsetenv("TW_SCALE_DIV");
+    EXPECT_EQ(parseScaleDiv(nullptr, 123), 123u);
+    EXPECT_EQ(parseScaleDiv("50", 123), 50u);
+    EXPECT_EQ(parseScaleDiv("garbage", 123), 123u);
+    EXPECT_EQ(parseScaleDiv("", 123), 123u);
+    EXPECT_EQ(parseScaleDiv("0", 123), 123u);
+    EXPECT_EQ(parseScaleDiv("-50", 123), 123u);
+    EXPECT_EQ(parseScaleDiv("50x", 123), 123u);
+    EXPECT_EQ(parseScaleDiv("4294967295", 123), 4294967295u);
+    EXPECT_EQ(parseScaleDiv("4294967296", 123), 123u);
 }
 
 TEST(Spec, ComponentNames)

@@ -87,7 +87,8 @@ usage()
         "dram[:k=v,...]\n"
         "  --tlb-entries N   --tlb-page SIZE\n"
         "  --scale N         divide instruction counts by N\n"
-        "                    (default 200; also TW_SCALE_DIV)\n"
+        "                    (default 200; with --experiment, the\n"
+        "                    experiment's own)\n"
         "  --trials N        trials; seeds derived as runTrials "
         "does\n"
         "  --seed N          base trial seed (default 1)\n"
@@ -255,7 +256,7 @@ main(int argc, char **argv)
     unsigned line = 16, assoc = 1, sample = 1, trials = 1;
     unsigned tlbEntries = 64;
     std::uint64_t seed = 1;
-    unsigned scale = envScaleDiv(200);
+    unsigned scale = 200;
     bool scaleSet = false;
     std::string experiment;
     Indexing indexing = Indexing::Physical;
@@ -459,8 +460,8 @@ main(int argc, char **argv)
     // Both paths print the canonical experimentRowJson lines in seq
     // order, so `diff <(twctl --experiment E local) <(twctl
     // --socket S --experiment E submit)` is the served-vs-local
-    // bit-identity check (use an explicit --scale so client and
-    // daemon agree when their environments differ).
+    // bit-identity check. Like a run_experiment request, both build
+    // the experiment's options from the scale alone.
     if (!experiment.empty()) {
         if (command != "local" && command != "submit")
             fatal("--experiment only applies to local/submit");
@@ -470,11 +471,10 @@ main(int argc, char **argv)
             fatal("unknown experiment '%s' (bench_driver --list "
                   "shows the registry)",
                   experiment.c_str());
-        unsigned expScale =
-            experimentScale(*def, scaleSet ? scale : 0);
+        RunExperimentOptions opts;
+        opts.scaleDiv = scaleSet ? scale : 0;
         if (command == "local") {
-            for (const ExperimentJob &job :
-                 experimentJobs(*def, expScale)) {
+            for (const ExperimentJob &job : experimentJobs(*def, opts)) {
                 RunOutcome out =
                     job.withSlowdown
                         ? Runner::runWithSlowdown(job.spec, job.seed)
@@ -494,8 +494,8 @@ main(int argc, char **argv)
         std::string err;
         if (!connect(client, err))
             fatal("connect: %s", err.c_str());
-        SweepResult result = client.runExperiment(
-            def->name, scaleSet ? scale : expScale);
+        SweepResult result =
+            client.runExperiment(def->name, opts.scaleDiv);
         if (!result.ok) {
             if (!result.errorCode.empty()) {
                 std::fprintf(stderr, "rejected: %s (%s)\n",
@@ -509,8 +509,7 @@ main(int argc, char **argv)
         // backend from the same job list the daemon ran so the
         // re-rendered rows stay bit-identical to `local`.
         std::vector<std::string> seqBackend;
-        for (const ExperimentJob &job :
-             experimentJobs(*def, expScale)) {
+        for (const ExperimentJob &job : experimentJobs(*def, opts)) {
             if (job.seq >= seqBackend.size())
                 seqBackend.resize(job.seq + 1);
             seqBackend[job.seq] = costBackendTag(job.spec);

@@ -50,8 +50,8 @@ usage()
         "  --bind ADDR       TCP bind address (default "
         "127.0.0.1)\n"
         "  --workers N       simulation workers (default: "
-        "TW_THREADS,\n"
-        "                    else hardware threads)\n"
+        "hardware\n"
+        "                    threads)\n"
         "  --queue N         job-queue bound; a sweep that does "
         "not\n"
         "                    fit is rejected 'overloaded' "
@@ -59,7 +59,7 @@ usage()
         "  --cache N         result-cache entries (default 4096)\n"
         "  --baseline-cap N  Runner baseline-memo entries "
         "(default\n"
-        "                    4096, or TW_BASELINE_CAP)\n"
+        "                    4096)\n"
         "  --send-timeout MS per-connection send timeout; a "
         "client\n"
         "                    that stops reading its rows is "
@@ -81,12 +81,15 @@ usage()
         "64)\n"
         "  --health-interval MS   worker ping cadence (default "
         "1000)\n\n"
-        "environment:\n"
+        "environment (read here, nowhere else):\n"
         "  TW_TRACE=FILE     record request-phase spans; the "
         "Chrome\n"
         "                    trace-event JSON is written at "
         "drain\n"
         "  TW_LOG=json       structured log lines on stderr\n\n"
+        "A run_experiment request runs at its own scale with every\n"
+        "other experiment option at its default, whatever this\n"
+        "process's environment holds.\n\n"
         "Stop with SIGTERM/SIGINT (drains admitted jobs, then "
         "exits 0)\nor with `twctl shutdown`.\n");
 }
@@ -97,6 +100,8 @@ int
 main(int argc, char **argv)
 {
     setLogComponent("twserved");
+    if (const char *log = std::getenv("TW_LOG"))
+        setLogJson(std::strcmp(log, "json") == 0);
     ServerConfig cfg;
     cfg.verbose = true;
     std::size_t baselineCap = 0;
