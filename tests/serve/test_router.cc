@@ -165,6 +165,39 @@ TEST(Router, ResubmitServedEntirelyFromShardCaches)
                   formatRunOutcome(second.rows[i].outcome));
 }
 
+TEST(Router, TrialSeedInSpecIsNormalizedOutOfPlacementAndKeys)
+{
+    // Runner overwrites sys.trialSeed per trial, so the router must
+    // place, and the worker key, a trial as if it were 0. If either
+    // side kept it, a resubmit with another trialSeed would land on
+    // another shard or miss the cache.
+    Pool pool(3);
+    RunSpec spec = smallSpec(4096);
+    spec.sys.trialSeed = 777;
+    std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55, 66};
+
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(pool.routerPath, &err)) << err;
+    SweepResult first = client.submitSweep(spec, seeds, true);
+    ASSERT_TRUE(first.ok) << first.errorMsg;
+    EXPECT_EQ(first.computed, seeds.size());
+
+    for (std::uint64_t trial_seed : {std::uint64_t{0},
+                                     std::uint64_t{987654321}}) {
+        RunSpec again = spec;
+        again.sys.trialSeed = trial_seed;
+        SweepResult second = client.submitSweep(again, seeds, true);
+        ASSERT_TRUE(second.ok) << second.errorMsg;
+        EXPECT_EQ(second.cached, seeds.size()) << trial_seed;
+        EXPECT_EQ(second.computed, 0u) << trial_seed;
+        ASSERT_EQ(second.rows.size(), first.rows.size());
+        for (std::size_t i = 0; i < first.rows.size(); ++i)
+            EXPECT_EQ(formatRunOutcome(second.rows[i].outcome),
+                      formatRunOutcome(first.rows[i].outcome));
+    }
+}
+
 TEST(Router, ExperimentMatchesSingleNodeRowForRow)
 {
     Pool pool(3);
