@@ -11,9 +11,6 @@
  * malformed number.
  */
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +19,7 @@
 #include <string>
 
 #include "base/logging.hh"
+#include "base/numparse.hh"
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
 #include "core/cost/cost_backend.hh"
@@ -75,20 +73,6 @@ usage(std::FILE *out)
                  "number; anything else exits 2.\n");
 }
 
-/** @p text as a positive integer that fits an unsigned. */
-bool
-positiveInt(const char *text, unsigned &out)
-{
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end
-        || errno != 0 || v == 0 || v > UINT_MAX)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
-
 /** @p text as a finite positive number. */
 bool
 positiveReal(const char *text, double &out)
@@ -129,16 +113,10 @@ main(int argc, char **argv)
             fatal("bench_driver: %s requires a value", flag);
         return argv[++i];
     };
-    auto malformed = [](const char *flag, const char *text) {
-        std::fprintf(stderr, "bench_driver: %s: malformed value '%s'\n",
-                     flag, text);
-        usage(stderr);
-        return 2;
-    };
+    const NumericFlags flags("bench_driver", usage);
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
-        unsigned n = 0;
         if (std::strcmp(arg, "--list") == 0) {
             list = true;
         } else if (std::strcmp(arg, "--run") == 0) {
@@ -147,13 +125,9 @@ main(int argc, char **argv)
                    || std::strncmp(arg, "--threads=", 10) == 0) {
             const char *v =
                 arg[9] == '=' ? arg + 10 : value(i, "--threads");
-            if (!positiveInt(v, n))
-                return malformed("--threads", v);
-            setDefaultThreads(n);
+            setDefaultThreads(flags.positive("--threads", v));
         } else if (std::strcmp(arg, "--scale") == 0) {
-            const char *v = value(i, "--scale");
-            if (!positiveInt(v, opts.scaleDiv))
-                return malformed("--scale", v);
+            opts.scaleDiv = flags.positive("--scale", value(i, "--scale"));
         } else if (std::strcmp(arg, "--report") == 0) {
             opts.report = true;
         } else if (std::strcmp(arg, "--rows") == 0) {
@@ -166,16 +140,14 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--sample") == 0) {
             opts.sample.enabled = true;
         } else if (std::strcmp(arg, "--sample-interval") == 0) {
-            const char *v = value(i, "--sample-interval");
-            if (!positiveInt(v, n))
-                return malformed("--sample-interval", v);
-            opts.sample.intervalRefs = n;
+            opts.sample.intervalRefs = flags.positive(
+                "--sample-interval", value(i, "--sample-interval"));
         } else if (std::strcmp(arg, "--no-dma") == 0) {
             opts.noDma = true;
         } else if (std::strcmp(arg, "--ci-target") == 0) {
             const char *v = value(i, "--ci-target");
             if (!positiveReal(v, opts.stopRule.ciRelTarget))
-                return malformed("--ci-target", v);
+                flags.malformed("--ci-target", v);
             opts.stopRule.enabled = true;
         } else if (std::strcmp(arg, "--cost-backend") == 0) {
             // Validate here: a typo must die before the workload

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <string>
 
+#include "base/numparse.hh"
 #include "harness/experiment.hh"
 #include "obs/trace.hh"
 #include "tapeworm.hh"
@@ -30,9 +31,9 @@ namespace
 {
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "twsim — trap-driven memory-system simulation "
         "(Tapeworm II)\n\n"
         "usage: twsim [options]\n"
@@ -60,7 +61,7 @@ usage()
         "  --threads N       trial-dispatch workers (default:\n"
         "                    hardware threads; results identical\n"
         "                    for any N)\n"
-        "  --seed N          base trial seed (default 1)\n"
+        "  --seed SEED       base trial seed (default 1)\n"
         "  --scale N         divide paper instruction counts by N\n"
         "                    (default 200; with --experiment, the\n"
         "                    experiment's own)\n"
@@ -71,21 +72,11 @@ usage()
         "  --csv             CSV output\n"
         "  --trace-out FILE  write a Chrome trace-event JSON span\n"
         "                    trace (Perfetto-loadable) to FILE\n"
-        "  --help            this text\n");
-}
-
-std::uint64_t
-parseSize(const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end && (*end == 'K' || *end == 'k'))
-        v *= 1024;
-    else if (end && (*end == 'M' || *end == 'm'))
-        v *= 1024 * 1024;
-    if (v < 64)
-        fatal("unparseable size '%s'", text.c_str());
-    return static_cast<std::uint64_t>(v);
+        "  --help            this text\n\n"
+        "N and BYTES are positive integers, SEED any 64-bit "
+        "unsigned\ninteger and SIZE a byte count of at least 64 "
+        "with an optional\nK or M suffix; anything else exits "
+        "2.\n");
 }
 
 } // namespace
@@ -108,6 +99,7 @@ main(int argc, char **argv)
     CostBackendConfig costBackend;
     bool scaleSet = false;
     bool csv = false;
+    const NumericFlags flags("twsim", usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -117,7 +109,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--help") {
-            usage();
+            usage(stdout);
             return 0;
         } else if (arg == "--list") {
             for (const auto &name : suiteNames())
@@ -126,16 +118,15 @@ main(int argc, char **argv)
         } else if (arg == "--workload") {
             workload = value();
         } else if (arg == "--cache") {
-            cache_bytes = parseSize(value());
+            cache_bytes = flags.bytes(arg, value());
         } else if (arg == "--tlb-entries") {
-            tlb_entries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            tlb_entries = flags.positive(arg, value());
         } else if (arg == "--tlb-page") {
-            tlb_page = parseSize(value());
+            tlb_page = flags.bytes(arg, value());
         } else if (arg == "--line") {
-            line = static_cast<unsigned>(std::atoi(value().c_str()));
+            line = flags.positive(arg, value());
         } else if (arg == "--assoc") {
-            assoc = static_cast<unsigned>(std::atoi(value().c_str()));
+            assoc = flags.positive(arg, value());
         } else if (arg == "--indexing") {
             std::string v = value();
             if (v == "virtual")
@@ -153,22 +144,19 @@ main(int argc, char **argv)
         } else if (arg == "--scope") {
             scope = value();
         } else if (arg == "--sample") {
-            sample = static_cast<unsigned>(std::atoi(value().c_str()));
+            sample = flags.positive(arg, value());
         } else if (arg == "--cost-backend") {
             std::string v = value(), err;
             if (!parseCostBackendSpec(v, costBackend, err))
                 fatal("--cost-backend: %s", err.c_str());
         } else if (arg == "--trials") {
-            trials =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            trials = flags.positive(arg, value());
         } else if (arg == "--threads") {
-            setDefaultThreads(
-                static_cast<unsigned>(std::atoi(value().c_str())));
+            setDefaultThreads(flags.positive(arg, value()));
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            seed = flags.number(arg, value(), 0, UINT64_MAX);
         } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
+            scale = flags.positive(arg, value());
             scaleSet = true;
         } else if (arg == "--experiment") {
             experiment = value();
@@ -177,7 +165,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-out") {
             tracePath = value();
         } else {
-            usage();
+            usage(stderr);
             fatal("unknown option '%s'", arg.c_str());
         }
     }

@@ -678,6 +678,34 @@ costBackendFromJson(const Json &j, CostBackendConfig &out,
     return f.finish();
 }
 
+/**
+ * Why @p num/@p denom of @p cache's sets cannot be sampled — what
+ * chooseSampledSets and chooseConstantBitSets assert on — or "" if
+ * it can. A fraction of 1 samples nothing away and is never checked
+ * further.
+ */
+std::string
+sampleFractionError(unsigned num, unsigned denom, bool constant_bits,
+                    const CacheConfig &cache)
+{
+    if (num == 0 || num > denom)
+        return csprintf("sampleNum %u is outside 1..sampleDenom (%u)",
+                        num, denom);
+    if (!constant_bits || num == denom)
+        return {};
+    if (num != 1)
+        return csprintf("constant-bits sampling takes sampleNum 1, "
+                        "got %u", num);
+    if ((denom & (denom - 1)) != 0)
+        return csprintf("constant-bits sampleDenom %u is not a power "
+                        "of two", denom);
+    if (cache.numSets() % denom != 0)
+        return csprintf("constant-bits sampleDenom %u does not divide "
+                        "the cache's %llu sets", denom,
+                        static_cast<unsigned long long>(cache.numSets()));
+    return {};
+}
+
 Json
 twCfgToJson(const TapewormConfig &t)
 {
@@ -723,6 +751,12 @@ twCfgFromJson(const Json &j, TapewormConfig &out, std::string &err)
     } else {
         out.costBackend = CostBackendConfig{};
     }
+    if (f.ok())
+        if (std::string why = sampleFractionError(
+                out.sampleNum, out.sampleDenom,
+                out.sampleMode == SampleMode::ConstantBits, out.cache);
+            !why.empty())
+            f.fail("TapewormConfig: %s", why.c_str());
     return f.finish();
 }
 
@@ -793,6 +827,11 @@ c2kCfgFromJson(const Json &j, Cache2000Config &out, std::string &err)
     f.uns("sampleDenom", out.sampleDenom);
     f.u64("sampleSeed", out.sampleSeed);
     f.u64("filterCycles", out.filterCycles);
+    if (f.ok())
+        if (std::string why = sampleFractionError(
+                out.sampleNum, out.sampleDenom, false, out.cache);
+            !why.empty())
+            f.fail("Cache2000Config: %s", why.c_str());
     return f.finish();
 }
 
@@ -1068,42 +1107,66 @@ parseRunOutcome(const std::string &text, RunOutcome &out,
 }
 
 std::uint64_t
-fnv1a64(std::string_view bytes)
+fnv1a64(std::string_view bytes, std::uint64_t state)
 {
-    std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned char c : bytes) {
-        h ^= c;
-        h *= 0x100000001b3ull;
+        state ^= c;
+        state *= 0x100000001b3ull;
     }
-    return h;
+    return state;
+}
+
+SpecKey::SpecKey(const RunSpec &spec)
+{
+    // Runner::runOne overwrites sys.trialSeed with the per-trial
+    // seed, so normalize it out of the key (see specio.hh).
+    if (spec.sys.trialSeed == 0) {
+        text_ = formatRunSpec(spec);
+    } else {
+        RunSpec normal = spec;
+        normal.sys.trialSeed = 0;
+        text_ = formatRunSpec(normal);
+    }
+    state_ = fnv1a64(text_);
+}
+
+namespace
+{
+
+/** What one trial adds to its spec's text: '#' seed '#' flag. */
+std::string
+keySuffix(std::uint64_t trial_seed, bool with_slowdown)
+{
+    return '#' + std::to_string(trial_seed) + '#'
+           + (with_slowdown ? '1' : '0');
+}
+
+} // anonymous namespace
+
+std::string
+SpecKey::key(std::uint64_t trial_seed, bool with_slowdown) const
+{
+    return text_ + keySuffix(trial_seed, with_slowdown);
+}
+
+std::uint64_t
+SpecKey::fingerprint(std::uint64_t trial_seed, bool with_slowdown) const
+{
+    return fnv1a64(keySuffix(trial_seed, with_slowdown), state_);
 }
 
 std::string
 cacheKey(const RunSpec &spec, std::uint64_t trial_seed,
          bool with_slowdown)
 {
-    // Runner::runOne overwrites sys.trialSeed with the per-trial
-    // seed, so normalize it out of the key (see specio.hh).
-    std::string text;
-    if (spec.sys.trialSeed == 0) {
-        text = formatRunSpec(spec);
-    } else {
-        RunSpec normal = spec;
-        normal.sys.trialSeed = 0;
-        text = formatRunSpec(normal);
-    }
-    text += '#';
-    text += std::to_string(trial_seed);
-    text += '#';
-    text += with_slowdown ? '1' : '0';
-    return text;
+    return SpecKey(spec).key(trial_seed, with_slowdown);
 }
 
 std::uint64_t
 specFingerprint(const RunSpec &spec, std::uint64_t trial_seed,
                 bool with_slowdown)
 {
-    return fnv1a64(cacheKey(spec, trial_seed, with_slowdown));
+    return SpecKey(spec).fingerprint(trial_seed, with_slowdown);
 }
 
 } // namespace tw

@@ -11,8 +11,8 @@
  *  - the result cache keys on the canonical spec text (plus trial
  *    seed and slowdown flag) — two requests hit the same entry iff
  *    their canonical forms are byte-identical;
- *  - specFingerprint() hashes the same bytes into 64 bits for
- *    logging/stats (and future sharding).
+ *  - the fingerprint hashes the same bytes into 64 bits, and a
+ *    router places each trial on its ring by it.
  *
  * Canonicalization rules:
  *  - fields are emitted in a fixed order with no whitespace
@@ -22,15 +22,23 @@
  *  - parsing is STRICT: a missing or unknown field is an error, so
  *    adding a member to RunSpec without teaching this file breaks
  *    the round-trip test instead of silently truncating the cache
- *    key;
+ *    key. A value the engine would abort on (a cache geometry, a
+ *    set-sampling fraction, a zero quantum) fails the parse too;
  *  - RunOutcome::hostSeconds is EXCLUDED: it is transport metadata
  *    (wall-clock of whichever host computed the row), not part of
  *    the deterministic outcome, and including it would break the
  *    bit-for-bit served-vs-direct comparison the smoke test makes.
  *    The wire protocol carries it as a separate field;
- *  - cacheKey() normalizes sys.trialSeed to 0 before rendering:
- *    Runner overwrites it with the per-trial seed, so two specs
- *    differing only there are the same experiment.
+ *  - keys normalize sys.trialSeed to 0 before rendering: Runner
+ *    overwrites it with the per-trial seed, so two specs differing
+ *    only there are the same experiment.
+ *
+ * The key format lives here alone. A SpecKey renders a spec once;
+ * every trial's key appends '#seed#flag' to that text, and its
+ * fingerprint continues FNV-1a from the state after it. So a server
+ * or a router pays one render per spec of a request, however many
+ * seeds it holds. cacheKey() and specFingerprint() are the same
+ * bytes for a single trial.
  */
 
 #ifndef TW_HARNESS_SPECIO_HH
@@ -67,18 +75,42 @@ bool outcomeFromJson(const Json &j, RunOutcome &out, std::string &err);
 bool parseRunOutcome(const std::string &text, RunOutcome &out,
                      std::string &err);
 
-/** FNV-1a over @p bytes (the fingerprint hash). */
-std::uint64_t fnv1a64(std::string_view bytes);
+/** FNV-1a over @p bytes, continuing from @p state (by default the
+ *  standard offset basis). The fingerprint hash. */
+std::uint64_t fnv1a64(std::string_view bytes,
+                      std::uint64_t state = 0xcbf29ce484222325ull);
 
 /**
- * The result-cache key of one trial: canonical spec text (with
- * sys.trialSeed normalized to 0) + '#' + trial seed + '#' +
- * slowdown flag.
+ * The cache keys and fingerprints of one spec, rendered once. A
+ * trial's key is text() + '#' + trial seed + '#' + slowdown flag;
+ * its fingerprint is fnv1a64 of those bytes, continued from the
+ * state after text(), so neither re-renders the spec.
  */
+class SpecKey
+{
+  public:
+    explicit SpecKey(const RunSpec &spec);
+
+    /** The canonical text of the spec with sys.trialSeed set to 0. */
+    const std::string &text() const { return text_; }
+
+    /** The result-cache key of one trial. */
+    std::string key(std::uint64_t trial_seed, bool with_slowdown) const;
+
+    /** 64-bit fingerprint of key() (ring placement, logging). */
+    std::uint64_t fingerprint(std::uint64_t trial_seed,
+                              bool with_slowdown) const;
+
+  private:
+    std::string text_;
+    std::uint64_t state_ = 0; //!< fnv1a64(text_)
+};
+
+/** SpecKey(spec).key(): one trial's result-cache key. */
 std::string cacheKey(const RunSpec &spec, std::uint64_t trial_seed,
                      bool with_slowdown);
 
-/** 64-bit fingerprint of cacheKey() (logging, stats, sharding). */
+/** SpecKey(spec).fingerprint(): one trial's fingerprint. */
 std::uint64_t specFingerprint(const RunSpec &spec,
                               std::uint64_t trial_seed,
                               bool with_slowdown);

@@ -531,13 +531,20 @@ Server::admitTrials(const std::shared_ptr<Session> &session,
     // Each trial's key is the one a single-node submit, a served
     // experiment, a router's run_jobs slice and a local run of the
     // same trial all use — the property that lets them share
-    // entries, and shard-local caches line up with the ring.
+    // entries, and shard-local caches line up with the ring. Each
+    // spec is rendered once, however many seeds share it.
     const std::string statName =
         request->experiment.empty() ? "_adhoc" : request->experiment;
     std::vector<CachedHit> hits;
     std::vector<Job> jobs;
+    const RunSpec *rendered = nullptr;
+    std::optional<SpecKey> specKey;
     for (Trial &t : trials.trials) {
-        std::string key = cacheKey(*t.spec, t.seed, t.slowdown);
+        if (t.spec.get() != rendered) {
+            rendered = t.spec.get();
+            specKey.emplace(*t.spec);
+        }
+        std::string key = specKey->key(t.seed, t.slowdown);
         RunOutcome out;
         bool hit = cache_.lookup(key, out);
         metrics_.recordCacheLookup(statName, hit);

@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <optional>
@@ -105,10 +106,11 @@ struct Router::WorkerLink : Io
 };
 
 /** One trial, planned and fingerprinted at the front door. Trials
- *  of one spec share its canonical text. */
+ *  of one spec share its key, rendered once; run_jobs ships its
+ *  text. */
 struct Router::PlannedJob
 {
-    std::shared_ptr<const std::string> specText;
+    std::shared_ptr<const SpecKey> key;
     std::uint64_t fingerprint = 0;
     Trial trial;
 };
@@ -547,6 +549,11 @@ Router::workerReadable(WorkerLink *w)
     while (!w->conn.dead && w->conn.extractLine(line))
         if (!line.empty())
             handleWorkerLine(w, line);
+    // The rows this batch queued go out in one write per client.
+    // Clients close only after the event batch, so none is gone.
+    for (ClientConn *c : rowsQueued_)
+        flushConn(static_cast<Io *>(c), c->conn, c->conn.fd);
+    rowsQueued_.clear();
     flushConn(static_cast<Io *>(w), w->conn, w->conn.fd);
 }
 
@@ -666,21 +673,19 @@ Router::handleTrials(ClientConn *c, const RequestLine &req)
     if (!decodeTrials(req, trials, err))
         return badRequest(c, req.id, err);
     // Fingerprint every trial the way its owner's ResultCache keys
-    // it. A submit's seeds share one spec, so its canonical text is
-    // formatted once; an experiment's jobs each bring their own.
+    // it, rendering each spec once: a submit's seeds share one spec,
+    // an experiment's jobs each bring their own.
     std::vector<PlannedJob> jobs(trials.trials.size());
-    const RunSpec *formatted = nullptr;
-    std::shared_ptr<const std::string> text;
+    const RunSpec *rendered = nullptr;
+    std::shared_ptr<const SpecKey> key;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         Trial &t = trials.trials[i];
-        if (t.spec.get() != formatted) {
-            formatted = t.spec.get();
-            text = std::make_shared<const std::string>(
-                formatRunSpec(*t.spec));
+        if (t.spec.get() != rendered) {
+            rendered = t.spec.get();
+            key = std::make_shared<const SpecKey>(*t.spec);
         }
-        jobs[i].specText = text;
-        jobs[i].fingerprint =
-            specFingerprint(*t.spec, t.seed, t.slowdown);
+        jobs[i].key = key;
+        jobs[i].fingerprint = key->fingerprint(t.seed, t.slowdown);
         jobs[i].trial = std::move(t);
     }
     startRequest(c, req.id, std::move(trials.experiment),
@@ -777,16 +782,18 @@ Router::commitPending(Pending &p)
         // wire (~6 KB vs ~100 B of coordinates per job). Hoist the
         // first job's spec to the batch default and only spell out
         // per-job specs that differ (mixed-spec experiment slices).
-        const std::shared_ptr<const std::string> &defaultSpec =
-            part.jobs.front().specText;
-        req.set("spec", Json::str(*defaultSpec));
+        // It is the key's text, with sys.trialSeed 0: the worker runs
+        // each trial with its own seed there, so that field is moot.
+        const std::shared_ptr<const SpecKey> &defaultKey =
+            part.jobs.front().key;
+        req.set("spec", Json::str(defaultKey->text()));
         Json jobs = Json::array();
         for (const PlannedJob &pj : part.jobs) {
             const Trial &t = pj.trial;
             Json j = Json::object();
-            if (pj.specText != defaultSpec
-                && *pj.specText != *defaultSpec)
-                j.set("spec", Json::str(*pj.specText));
+            if (pj.key != defaultKey
+                && pj.key->text() != defaultKey->text())
+                j.set("spec", Json::str(pj.key->text()));
             j.set("seed", Json::number(t.seed));
             j.set("slowdown", Json::boolean(t.slowdown));
             if (!t.unit.empty())
@@ -927,8 +934,9 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
             rc().rowsBuffered.inc();
         p.buffered[seq] = std::move(framed);
         emitReadyRows(p);
-        flushConn(static_cast<Io *>(p.client), p.client->conn,
-                  p.client->conn.fd);
+        if (std::find(rowsQueued_.begin(), rowsQueued_.end(), p.client)
+            == rowsQueued_.end())
+            rowsQueued_.push_back(p.client);
         return;
     }
 

@@ -13,16 +13,18 @@
  * the socket:
  *
  *   client ──► Router (epoll loop, serve::Poller)
- *                │ enumerate trials, fingerprint each
- *                │ (harness/specio cacheKey bytes), owner =
- *                │ ShardMap ring lookup
+ *                │ enumerate trials, render each spec once
+ *                │ (harness/specio SpecKey), fingerprint each
+ *                │ trial from it, owner = ShardMap ring lookup
  *                ├─► phase 1: `reserve` N slots on EVERY involved
  *                │            shard — all-or-nothing admission
  *                │            survives distribution: any shard
  *                │            rejecting releases the others and the
  *                │            client sees one typed error
  *                ├─► phase 2: `run_jobs` with the reservation; rows
- *                │            stream back tagged with seq
+ *                │            stream back tagged with seq, and each
+ *                │            worker read batch reaches a client in
+ *                │            one write
  *                └─◄ streaming merge: a per-request reorder buffer
  *                    emits rows in seq order, so a pooled sweep is
  *                    bit-identical — order included — to the
@@ -218,6 +220,9 @@ class Router
     std::list<std::unique_ptr<AdminFan>> fans_;
     std::unordered_map<std::uint64_t, OpRef> ops_;
     std::uint64_t nextOpId_ = 1;
+    /** Clients given rows by the worker read batch in progress;
+     *  workerReadable flushes each once at the batch's end. */
+    std::vector<ClientConn *> rowsQueued_;
 
     Json routerStatsJson() const;
 };

@@ -1,11 +1,9 @@
 #include "workload/spec.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <climits>
 #include <cstdlib>
 
 #include "base/logging.hh"
+#include "base/numparse.hh"
 #include "base/random.hh"
 
 namespace tw
@@ -258,15 +256,12 @@ parseScaleDiv(const char *text, unsigned fallback)
 {
     if (!text)
         return fallback;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(text, &end, 10);
-    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end
-        || errno != 0 || v == 0 || v > UINT_MAX) {
+    unsigned v = 0;
+    if (!positiveInt(text, v)) {
         warn("ignoring bad TW_SCALE_DIV='%s'", text);
         return fallback;
     }
-    return static_cast<unsigned>(v);
+    return v;
 }
 
 } // namespace tw

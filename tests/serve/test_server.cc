@@ -374,6 +374,8 @@ TEST(Server, MalformedRequestGetsBadRequest)
     // runnable value (2^32 + 1 tasks would read as one).
     expectError(changed("workload.taskCount",
                         Json::number(std::uint64_t{4294967297})));
+    // A sampling fraction of 0 sets aborts building the Tapeworm.
+    expectError(changed("tw.sampleNum", Json::number(0u)));
     // And the daemon is still there to answer.
     ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
     ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
@@ -382,7 +384,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 14u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 15u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 

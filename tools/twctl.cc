@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/numparse.hh"
 #include "harness/experiment.hh"
 #include "harness/specio.hh"
 #include "serve/client.hh"
@@ -42,9 +43,9 @@ namespace
 {
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "twctl — client for the twserved experiment service\n\n"
         "usage: twctl [--socket PATH | --tcp HOST:PORT] COMMAND "
         "[options]\n\n"
@@ -91,7 +92,7 @@ usage()
         "                    experiment's own)\n"
         "  --trials N        trials; seeds derived as runTrials "
         "does\n"
-        "  --seed N          base trial seed (default 1)\n"
+        "  --seed SEED       base trial seed (default 1)\n"
         "  --seeds A,B,...   explicit seed list (overrides "
         "--trials)\n"
         "  --experiment NAME run a registry experiment instead of a\n"
@@ -101,30 +102,23 @@ usage()
         "                    canonical row per trial (sorted by "
         "seq)\n"
         "  --no-slowdown     skip the baseline/slowdown pairing\n"
-        "  --deadline MS     per-request deadline (server-side)\n"
+        "  --deadline MS     per-request deadline (server-side); "
+        "0\n"
+        "                    answers from the cache and expires "
+        "the rest\n"
         "  --canonical       one canonical outcome line per trial\n"
         "other:\n"
         "  stats --path P    print one dotted-path value of the "
         "stats\n"
         "  metrics --path P  same, over the metrics snapshot\n"
         "  --help            this text\n\n"
+        "N, M, MS and BYTES are positive integers (--deadline "
+        "also takes\n0), SEED any 64-bit unsigned integer, PORT "
+        "one below 65536 and\nSIZE a byte count of at least 64 "
+        "with an optional K or M suffix.\n\n"
         "exit status: 0 ok; 1 usage/transport; 2 server rejected "
         "(the\ncode — e.g. 'overloaded' — is printed to "
-        "stderr).\n");
-}
-
-std::uint64_t
-parseSize(const std::string &text)
-{
-    char *end = nullptr;
-    double v = std::strtod(text.c_str(), &end);
-    if (end && (*end == 'K' || *end == 'k'))
-        v *= 1024;
-    else if (end && (*end == 'M' || *end == 'm'))
-        v *= 1024 * 1024;
-    if (v < 64)
-        fatal("unparseable size '%s'", text.c_str());
-    return static_cast<std::uint64_t>(v);
+        "stderr) or a\nmalformed number.\n");
 }
 
 struct SweepArgs
@@ -250,6 +244,7 @@ main(int argc, char **argv)
     unsigned pingRetries = 0, pingRetryDelayMs = 100;
     std::string poolList;
     unsigned poolVnodes = 0;
+    const NumericFlags flags("twctl", usage);
 
     std::string workload = "mpeg_play";
     std::uint64_t cacheBytes = 4096, tlbPage = 4096;
@@ -274,7 +269,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--help") {
-            usage();
+            usage(stdout);
             return 0;
         } else if (arg == "--socket") {
             socketPath = value();
@@ -284,15 +279,16 @@ main(int argc, char **argv)
             if (colon == std::string::npos)
                 fatal("--tcp wants HOST:PORT");
             tcpHost = hp.substr(0, colon);
-            tcpPort = std::atoi(hp.c_str() + colon + 1);
+            tcpPort = static_cast<int>(
+                flags.number(arg, hp.substr(colon + 1), 1, 65535));
         } else if (arg == "--workload") {
             workload = value();
         } else if (arg == "--cache") {
-            cacheBytes = parseSize(value());
+            cacheBytes = flags.bytes(arg, value());
         } else if (arg == "--line") {
-            line = static_cast<unsigned>(std::atoi(value().c_str()));
+            line = flags.positive(arg, value());
         } else if (arg == "--assoc") {
-            assoc = static_cast<unsigned>(std::atoi(value().c_str()));
+            assoc = flags.positive(arg, value());
         } else if (arg == "--indexing") {
             std::string v = value();
             if (v == "virtual")
@@ -310,34 +306,30 @@ main(int argc, char **argv)
         } else if (arg == "--scope") {
             scope = value();
         } else if (arg == "--sample") {
-            sample = static_cast<unsigned>(std::atoi(value().c_str()));
+            sample = flags.positive(arg, value());
         } else if (arg == "--cost-backend") {
             std::string v = value(), err;
             if (!parseCostBackendSpec(v, costBackend, err))
                 fatal("--cost-backend: %s", err.c_str());
         } else if (arg == "--tlb-entries") {
-            tlbEntries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            tlbEntries = flags.positive(arg, value());
         } else if (arg == "--tlb-page") {
-            tlbPage = parseSize(value());
+            tlbPage = flags.bytes(arg, value());
         } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
+            scale = flags.positive(arg, value());
             scaleSet = true;
         } else if (arg == "--experiment") {
             experiment = value();
         } else if (arg == "--trials") {
-            trials =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            trials = flags.positive(arg, value());
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            seed = flags.number(arg, value(), 0, UINT64_MAX);
         } else if (arg == "--seeds") {
             seedList = value();
         } else if (arg == "--no-slowdown") {
             sweep.slowdown = false;
         } else if (arg == "--deadline") {
-            sweep.deadlineMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            sweep.deadlineMs = flags.number(arg, value(), 0, UINT64_MAX);
         } else if (arg == "--canonical") {
             sweep.canonical = true;
         } else if (arg == "--path") {
@@ -347,30 +339,27 @@ main(int argc, char **argv)
         } else if (arg == "--require") {
             requireList = value();
         } else if (arg == "--retry") {
-            pingRetries =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            pingRetries = flags.positive(arg, value());
         } else if (arg == "--retry-delay-ms") {
-            pingRetryDelayMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            pingRetryDelayMs = flags.positive(arg, value());
         } else if (arg == "--pool") {
             poolList = value();
         } else if (arg == "--vnodes") {
-            poolVnodes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            poolVnodes = flags.positive(arg, value());
         } else if (!arg.empty() && arg[0] == '-') {
-            usage();
+            usage(stderr);
             fatal("unknown option '%s'", arg.c_str());
         } else if (command.empty()) {
             command = arg;
         } else if (command == "trace-lint" && traceFile.empty()) {
             traceFile = arg;
         } else {
-            usage();
+            usage(stderr);
             fatal("extra argument '%s'", arg.c_str());
         }
     }
     if (command.empty()) {
-        usage();
+        usage(stderr);
         return 1;
     }
 
@@ -432,13 +421,14 @@ main(int argc, char **argv)
 
     // ---- Seed list ------------------------------------------------
     if (!seedList.empty()) {
-        const char *p = seedList.c_str();
-        while (*p) {
-            char *end = nullptr;
-            sweep.seeds.push_back(std::strtoull(p, &end, 10));
-            if (end == p)
-                fatal("bad --seeds list '%s'", seedList.c_str());
-            p = (*end == ',') ? end + 1 : end;
+        for (std::size_t at = 0; at <= seedList.size();) {
+            std::size_t comma = seedList.find(',', at);
+            if (comma == std::string::npos)
+                comma = seedList.size();
+            sweep.seeds.push_back(flags.number(
+                "--seeds", seedList.substr(at, comma - at), 0,
+                UINT64_MAX));
+            at = comma + 1;
         }
     } else {
         // Exactly runTrials()'s derivation: trial t gets
@@ -672,7 +662,7 @@ main(int argc, char **argv)
         return 0;
     }
     if (command != "submit") {
-        usage();
+        usage(stderr);
         fatal("unknown command '%s'", command.c_str());
     }
 

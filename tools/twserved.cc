@@ -19,6 +19,7 @@
  *            --queue 512 --cache 8192
  */
 
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -28,6 +29,7 @@
 #include <thread>
 
 #include "base/logging.hh"
+#include "base/numparse.hh"
 #include "obs/trace.hh"
 #include "serve/server.hh"
 #include "serve/shard/router.hh"
@@ -39,9 +41,9 @@ namespace
 {
 
 void
-usage()
+usage(std::FILE *out)
 {
-    std::printf(
+    std::fprintf(out,
         "twserved — persistent Tapeworm II experiment service\n\n"
         "usage: twserved --socket PATH [options]\n"
         "  --socket PATH     unix-domain socket to listen on "
@@ -91,7 +93,10 @@ usage()
         "other experiment option at its default, whatever this\n"
         "process's environment holds.\n\n"
         "Stop with SIGTERM/SIGINT (drains admitted jobs, then "
-        "exits 0)\nor with `twctl shutdown`.\n");
+        "exits 0)\nor with `twctl shutdown`.\n\n"
+        "N is a positive integer, MS one too (--send-timeout also "
+        "takes 0)\nand PORT one below 65536; anything else exits "
+        "2.\n");
 }
 
 } // namespace
@@ -109,6 +114,7 @@ main(int argc, char **argv)
     std::string shardsArg;
     unsigned vnodes = 0;
     unsigned healthIntervalMs = 1000;
+    const NumericFlags flags("twserved", usage);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -118,48 +124,43 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--help") {
-            usage();
+            usage(stdout);
             return 0;
         } else if (arg == "--socket") {
             cfg.socketPath = value();
         } else if (arg == "--tcp") {
-            cfg.tcpPort = std::atoi(value().c_str());
+            cfg.tcpPort =
+                static_cast<int>(flags.number(arg, value(), 1, 65535));
         } else if (arg == "--bind") {
             cfg.tcpBind = value();
         } else if (arg == "--workers") {
-            cfg.workers =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            cfg.workers = flags.positive(arg, value());
         } else if (arg == "--queue") {
-            cfg.queueCapacity = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            cfg.queueCapacity = flags.positive(arg, value());
         } else if (arg == "--cache") {
-            cfg.cacheCapacity = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            cfg.cacheCapacity = flags.positive(arg, value());
         } else if (arg == "--baseline-cap") {
-            baselineCap = static_cast<std::size_t>(
-                std::atoll(value().c_str()));
+            baselineCap = flags.positive(arg, value());
         } else if (arg == "--send-timeout") {
-            cfg.sendTimeoutMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            cfg.sendTimeoutMs = static_cast<unsigned>(
+                flags.number(arg, value(), 0, UINT_MAX));
         } else if (arg == "--router") {
             routerMode = true;
         } else if (arg == "--shards") {
             shardsArg = value();
         } else if (arg == "--vnodes") {
-            vnodes =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            vnodes = flags.positive(arg, value());
         } else if (arg == "--health-interval") {
-            healthIntervalMs =
-                static_cast<unsigned>(std::atoi(value().c_str()));
+            healthIntervalMs = flags.positive(arg, value());
         } else if (arg == "--quiet") {
             cfg.verbose = false;
         } else {
-            usage();
+            usage(stderr);
             fatal("unknown option '%s'", arg.c_str());
         }
     }
     if (cfg.socketPath.empty()) {
-        usage();
+        usage(stderr);
         fatal("--socket is required");
     }
     if (baselineCap)
@@ -202,7 +203,7 @@ main(int argc, char **argv)
             at = comma + 1;
         }
         if (rcfg.shards.empty()) {
-            usage();
+            usage(stderr);
             fatal("--router requires --shards A,B,...");
         }
 
