@@ -31,12 +31,12 @@
 #define TW_CORE_TAPEWORM_HH
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
 #include "core/cost/cost_backend.hh"
 #include "core/cost_model.hh"
+#include "core/frame_registry.hh"
 #include "machine/phys_mem.hh"
 #include "mem/cache.hh"
 #include "os/sim_client.hh"
@@ -215,7 +215,7 @@ class Tapeworm : public SimClient
     const Cache &cache() const { return cache_; }
 
     /** Number of pages currently registered. */
-    std::size_t registeredPages() const { return pages_.size(); }
+    std::size_t registeredPages() const { return frames_.size(); }
 
     /**
      * Verify the core trap/residence duality: for every registered
@@ -225,19 +225,11 @@ class Tapeworm : public SimClient
     bool checkInvariants() const;
 
   private:
-    /** Bookkeeping for one registered physical page. */
-    struct PageReg
-    {
-        unsigned refs = 0; //!< registered mappings of this frame
-        Vpn vpn = 0;       //!< first registered virtual page
-        TaskId tid = kInvalidTid;
-    };
-
     bool consumes(AccessKind kind) const;
     void handleMiss(const Task &task, Addr va, Addr pa,
                     AccessKind kind);
-    void armPage(const PageReg &reg, Pfn pfn);
-    LineRef lineRefFor(const PageReg &reg, Pfn pfn,
+    void armPage(const FrameRegistry::Entry &reg, Pfn pfn);
+    LineRef lineRefFor(const FrameRegistry::Entry &reg, Pfn pfn,
                        unsigned line_in_page) const;
 
     PhysMem &phys_;
@@ -251,7 +243,7 @@ class Tapeworm : public SimClient
     unsigned linesPerPage_;
     bool allSampled_;
     std::vector<bool> sampledSets_;
-    std::unordered_map<Pfn, PageReg> pages_;
+    FrameRegistry frames_;
     TapewormStats stats_;
 };
 
