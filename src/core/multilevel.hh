@@ -20,12 +20,12 @@
 #define TW_CORE_MULTILEVEL_HH
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.hh"
 #include "core/cost/cost_backend.hh"
 #include "core/cost_model.hh"
+#include "core/frame_registry.hh"
 #include "machine/phys_mem.hh"
 #include "mem/cache.hh"
 #include "os/sim_client.hh"
@@ -141,14 +141,7 @@ class TapewormMultiLevel : public SimClient
     bool checkInvariants() const;
 
   private:
-    struct PageReg
-    {
-        unsigned refs = 0;
-        Vpn vpn = 0;
-        TaskId tid = kInvalidTid;
-    };
-
-    void armPage(const PageReg &reg, Pfn pfn);
+    void armPage(Pfn pfn);
     /** Returns true when the software L2 serviced the miss. */
     bool handleMiss(const Task &task, Addr va, Addr pa,
                     AccessKind kind);
@@ -164,7 +157,7 @@ class TapewormMultiLevel : public SimClient
     unsigned granulesPerLine_;
     unsigned lineShift_;
     unsigned linesPerPage_;
-    std::unordered_map<Pfn, PageReg> pages_;
+    FrameRegistry frames_;
     MultiLevelStats stats_;
 };
 
