@@ -757,6 +757,14 @@ twCfgFromJson(const Json &j, TapewormConfig &out, std::string &err)
                 out.sampleMode == SampleMode::ConstantBits, out.cache);
             !why.empty())
             f.fail("TapewormConfig: %s", why.c_str());
+    // A trap covers whole granules, and a cache-mode line lies within
+    // one page: the Tapeworm constructor asserts on both bounds.
+    if (f.ok()
+        && (out.cache.lineBytes < kTrapGranuleBytes
+            || out.cache.lineBytes > kHostPageBytes))
+        f.fail("TapewormConfig: cache.lineBytes %u is outside %u..%u "
+               "(the trap granule to the host page)",
+               out.cache.lineBytes, kTrapGranuleBytes, kHostPageBytes);
     return f.finish();
 }
 

@@ -59,6 +59,17 @@ twSampling(unsigned num, unsigned denom, SampleMode mode)
     return *specToJson(spec).find("tw");
 }
 
+/** The sample spec's "tw" member over a 64 KB cache of
+ *  @p line_bytes lines. */
+Json
+twLine(unsigned line_bytes)
+{
+    RunSpec spec = sampleSpec();
+    spec.tw.cache =
+        CacheConfig::icache(65536, line_bytes, 1, Indexing::Virtual);
+    return *specToJson(spec).find("tw");
+}
+
 /** A spec with every enum off its default and odd values in the
  *  corners the canonical form must carry exactly. */
 RunSpec
@@ -238,6 +249,13 @@ TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
         {"workload.storeEvery", Json::number(0u), "storeEvery"},
         {"sys.quantumInstr", Json::number(0u), "quantumInstr"},
         {"tw.cache.lineBytes", Json::number(12u), "line (12)"},
+        // Power-of-two lines outside the trap granule .. host page
+        // range the Tapeworm constructor asserts on.
+        {"tw.cache.lineBytes", Json::number(8u),
+         "cache.lineBytes 8 is outside 16..4096"},
+        {"tw.cache.lineBytes", Json::number(4u),
+         "cache.lineBytes 4 is outside 16..4096"},
+        {"tw", twLine(8192), "cache.lineBytes 8192 is outside 16..4096"},
         {"workload.kernelText.textBytes", Json::number(100u),
          "text size 100"},
         {"sys.clockInterval", Json::number(0u), "clockInterval"},

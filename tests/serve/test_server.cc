@@ -350,9 +350,10 @@ TEST(Server, MalformedRequestGetsBadRequest)
     // rest fatal() or abort building the cache, a stream or the
     // System. Any would take the whole daemon (or one worker) with
     // it.
-    auto changed = [](const char *path, Json value) {
-        Json spec =
-            withField(specToJson(smallSpec()), path, std::move(value));
+    auto changed = [](const char *path, Json value,
+                      unsigned cache_bytes = 2048) {
+        Json spec = withField(specToJson(smallSpec(cache_bytes)), path,
+                              std::move(value));
         Json req = Json::object();
         req.set("id", Json::number(6u));
         req.set("op", Json::str("submit"));
@@ -365,6 +366,12 @@ TEST(Server, MalformedRequestGetsBadRequest)
     expectError(changed("workload.storeEvery", Json::number(0u)));
     expectError(changed("sys.quantumInstr", Json::number(0u)));
     expectError(changed("tw.cache.lineBytes", Json::number(12u)));
+    // Lines below the trap granule or above a page abort building
+    // the Tapeworm.
+    expectError(changed("tw.cache.lineBytes", Json::number(8u)));
+    expectError(changed("tw.cache.lineBytes", Json::number(4u)));
+    expectError(
+        changed("tw.cache.lineBytes", Json::number(8192u), 65536));
     expectError(
         changed("workload.kernelText.textBytes", Json::number(100u)));
     expectError(changed("sys.clockInterval", Json::number(0u)));
@@ -384,7 +391,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 15u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 18u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 
