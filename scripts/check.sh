@@ -1,8 +1,9 @@
 #!/bin/sh
 # Full verification pass: configure, build, run all tests (serial
-# and with parallel trial dispatch), run AddressSanitizer and
-# ThreadSanitizer builds of the engine and parallel harness tests,
-# then run every registered experiment and bench binary.
+# and with parallel trial dispatch), run AddressSanitizer,
+# UndefinedBehaviorSanitizer and ThreadSanitizer builds of the
+# engine and parallel harness tests, then run every registered
+# experiment and bench binary.
 # TW_SCALE_DIV can shrink the workloads for a quick smoke run
 # (e.g. TW_SCALE_DIV=2000 ./scripts/check.sh).
 set -e
@@ -37,6 +38,19 @@ cmake --build build-asan --target test_integration test_os test_core \
 ./build-asan/tests/test_core
 ./build-asan/tests/test_serve
 ./build-asan/tests/test_shard
+
+# UndefinedBehaviorSanitizer pass over the same engine suites plus
+# the memory model: the loop's pointer rewinds, its shifts by the
+# trap granule and the cache's index arithmetic are where undefined
+# behaviour would hide. Any report stops the test binary
+# (-fno-sanitize-recover), so the step fails.
+cmake -B build-ubsan -G Ninja -DTW_SANITIZE=undefined
+cmake --build build-ubsan --target test_integration test_os test_core \
+    test_mem
+./build-ubsan/tests/test_integration
+./build-ubsan/tests/test_os
+./build-ubsan/tests/test_core
+./build-ubsan/tests/test_mem
 
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which
