@@ -136,12 +136,11 @@ class SimClient
      * Time-dependent cost backends read it to order misses in
      * simulated time. The pointer stays valid for the run and the
      * value is monotone. The fast engine charges base CPI in bulk —
-     * for a filtered client when a batch of steps ends (at the
-     * horizon, or after the first step that charges cycles), and
-     * for the clock handler when it returns — so at a call the value
-     * may trail the exact instruction position; the oracle engine
-     * keeps it exact everywhere. Clients that don't care keep the
-     * no-op default.
+     * for a filtered client after each step that charges cycles and
+     * when a batch of steps reaches its horizon, and for the clock
+     * handler when it returns — so at a call the value may trail the
+     * exact instruction position; the oracle engine keeps it exact
+     * everywhere. Clients that don't care keep the no-op default.
      */
     virtual void bindClock(const Cycles *now) { (void)now; }
 
