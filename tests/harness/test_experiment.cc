@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -161,6 +162,94 @@ TEST(ExperimentRegistry, GridKeysAreSeedlessTextPlusSeedAndFlag)
                 }
             }
         }
+    }
+}
+
+TEST(ExperimentRegistry, GridFingerprintsPinned)
+{
+    // Recorded before the canonical form was driven by one member
+    // list per struct. For each experiment and each of gridOptions(),
+    // the fingerprint of every job (its ring placement, and the hash
+    // of its result-cache key) folded in grid order. A change to how
+    // spec text is made must leave every fold be; a grid that gains
+    // or loses a job moves its own fold and is re-recorded with it.
+    const std::map<std::string, std::vector<std::uint64_t>> kFolds = {
+        {"breakeven",
+         {0x8a91cf2e798ea283ull, 0xd6953734d1bb6385ull}},
+        {"dcache_writepolicy",
+         {0x842df6fcbd9e9d4cull, 0x842df6fcbd9e9d4cull}},
+        {"dilation_correction",
+         {0x69d00a441a183824ull, 0x69d00a441a183824ull}},
+        {"dram_dilation",
+         {0x61613f2bcf361673ull, 0x61613f2bcf361673ull}},
+        {"families",
+         {0x7e510abf8632ed94ull, 0x7e510abf8632ed94ull}},
+        {"fig2",
+         {0xe6f9e0b04094a356ull, 0xceb87e4afbd1a144ull}},
+        {"fig2_rate",
+         {0xce938803b383776bull, 0x69e79ffbbdce4f83ull}},
+        {"fig3",
+         {0x8929c597bbe398e3ull, 0x6e60b5b191496b2aull}},
+        {"fig4",
+         {0x8454bbcb723b92abull, 0x1452b455eafe03f8ull}},
+        {"fragmentation",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"hybrid",
+         {0x0d5b1d72f7c364c0ull, 0x3e02a56765f58f2full}},
+        {"kessler",
+         {0xd2317af1a0e8423dull, 0xd2317af1a0e8423dull}},
+        {"multilevel",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"onepass",
+         {0x2eb4944b1cf8dbdfull, 0xaaf8a77a7d48249cull}},
+        {"pagecolor",
+         {0x4879523cfb2d94d3ull, 0xa4aa8231cce5d459ull}},
+        {"resample",
+         {0x4870d928192b574full, 0xd5f989f7e091f581ull}},
+        {"smoke",
+         {0x5dd3c36d2fd9fd14ull, 0x5dd3c36d2fd9fd14ull}},
+        {"split",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"table10",
+         {0x2edf3a292f713df9ull, 0x895a5a048c24873full}},
+        {"table11",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"table12",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"table4",
+         {0xb6cc8f0c80e87d57ull, 0xe073689970e8d3dfull}},
+        {"table5",
+         {0xcbf29ce484222325ull, 0xcbf29ce484222325ull}},
+        {"table6",
+         {0xb348cebec7dcf004ull, 0x4bbd653480d33097ull}},
+        {"table7",
+         {0xfc7c84287c199a28ull, 0xd78067a46ab66eb6ull}},
+        {"table8",
+         {0x138437fceadc22e6ull, 0x8f0b264c936ce149ull}},
+        {"table9",
+         {0x92deb725f1f352b2ull, 0x1fed8ef5fc92c6e2ull}},
+    };
+    auto &registry = ExperimentRegistry::instance();
+    const std::vector<RunExperimentOptions> options = gridOptions();
+    for (const std::string &name : registry.names()) {
+        const ExperimentDef *def = registry.find(name);
+        std::vector<std::uint64_t> folds;
+        for (const RunExperimentOptions &opts : options) {
+            std::uint64_t fold = fnv1a64("");
+            for (const ExperimentUnit &unit : def->grid(opts)) {
+                const SpecKey key(unit.spec);
+                for (std::uint64_t seed : unit.plan.seeds)
+                    fold = fnv1a64(
+                        std::to_string(key.fingerprint(
+                            seed, unit.plan.withSlowdown))
+                            + ',',
+                        fold);
+            }
+            folds.push_back(fold);
+        }
+        auto pinned = kFolds.find(name);
+        ASSERT_NE(pinned, kFolds.end()) << name << " has no pinned fold";
+        EXPECT_EQ(folds, pinned->second) << name;
     }
 }
 
