@@ -22,8 +22,8 @@
 #include "base/numparse.hh"
 #include "base/simd.hh"
 #include "base/thread_pool.hh"
-#include "core/cost/cost_backend.hh"
 #include "harness/experiment.hh"
+#include "harness/specio.hh"
 #include "obs/trace.hh"
 
 using namespace tw;
@@ -70,7 +70,8 @@ usage(std::FILE *out)
                  "  --help           this text\n"
                  "\n"
                  "<n>, <d> are positive integers and <r> a positive "
-                 "number; anything else exits 2.\n");
+                 "number; anything else exits 2, as does a backend\n"
+                 "the parser refuses.\n");
 }
 
 /** @p text as a finite positive number. */
@@ -155,8 +156,7 @@ main(int argc, char **argv)
             std::string err;
             if (!parseCostBackendSpec(value(i, "--cost-backend"),
                                       opts.costBackend, err))
-                fatal("bench_driver: --cost-backend: %s",
-                      err.c_str());
+                flags.refuse(std::string("--cost-backend: ") + err);
         } else if (std::strcmp(arg, "--trace-out") == 0) {
             trace_path = value(i, "--trace-out");
         } else if (std::strcmp(arg, "--help") == 0

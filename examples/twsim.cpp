@@ -16,12 +16,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "base/numparse.hh"
 #include "harness/experiment.hh"
+#include "harness/spec_flags.hh"
+#include "harness/specio.hh"
 #include "obs/trace.hh"
 #include "tapeworm.hh"
 
@@ -76,7 +76,8 @@ usage(std::FILE *out)
         "N and BYTES are positive integers, SEED any 64-bit "
         "unsigned\ninteger and SIZE a byte count of at least 64 "
         "with an optional\nK or M suffix; anything else exits "
-        "2.\n");
+        "2, as does a\nname outside a flag's list or a spec the "
+        "strict spec reader\nrefuses (e.g. a line below 16 bytes).\n");
 }
 
 } // namespace
@@ -84,22 +85,13 @@ usage(std::FILE *out)
 int
 main(int argc, char **argv)
 {
-    std::string workload = "mpeg_play";
-    std::uint64_t cache_bytes = 4096;
-    std::uint64_t tlb_page = 4096;
-    unsigned line = 16, assoc = 1, sample = 1, trials = 1;
-    unsigned tlb_entries = 64;
+    unsigned trials = 1;
     std::uint64_t seed = 1;
-    unsigned scale = 200;
-    Indexing indexing = Indexing::Physical;
-    std::string policy, sim = "tapeworm", kind = "instruction",
-                scope = "all";
     std::string experiment;
     std::string tracePath;
-    CostBackendConfig costBackend;
-    bool scaleSet = false;
     bool csv = false;
     const NumericFlags flags("twsim", usage);
+    SpecFlags specFlags(flags);
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
@@ -108,6 +100,8 @@ main(int argc, char **argv)
                 fatal("%s needs a value", arg.c_str());
             return argv[++i];
         };
+        if (specFlags.take(arg, value))
+            continue;
         if (arg == "--help") {
             usage(stdout);
             return 0;
@@ -115,49 +109,12 @@ main(int argc, char **argv)
             for (const auto &name : suiteNames())
                 std::printf("%s\n", name.c_str());
             return 0;
-        } else if (arg == "--workload") {
-            workload = value();
-        } else if (arg == "--cache") {
-            cache_bytes = flags.bytes(arg, value());
-        } else if (arg == "--tlb-entries") {
-            tlb_entries = flags.positive(arg, value());
-        } else if (arg == "--tlb-page") {
-            tlb_page = flags.bytes(arg, value());
-        } else if (arg == "--line") {
-            line = flags.positive(arg, value());
-        } else if (arg == "--assoc") {
-            assoc = flags.positive(arg, value());
-        } else if (arg == "--indexing") {
-            std::string v = value();
-            if (v == "virtual")
-                indexing = Indexing::Virtual;
-            else if (v == "physical")
-                indexing = Indexing::Physical;
-            else
-                fatal("bad indexing '%s'", v.c_str());
-        } else if (arg == "--policy") {
-            policy = value();
-        } else if (arg == "--sim") {
-            sim = value();
-        } else if (arg == "--kind") {
-            kind = value();
-        } else if (arg == "--scope") {
-            scope = value();
-        } else if (arg == "--sample") {
-            sample = flags.positive(arg, value());
-        } else if (arg == "--cost-backend") {
-            std::string v = value(), err;
-            if (!parseCostBackendSpec(v, costBackend, err))
-                fatal("--cost-backend: %s", err.c_str());
         } else if (arg == "--trials") {
             trials = flags.positive(arg, value());
         } else if (arg == "--threads") {
             setDefaultThreads(flags.positive(arg, value()));
         } else if (arg == "--seed") {
             seed = flags.number(arg, value(), 0, UINT64_MAX);
-        } else if (arg == "--scale") {
-            scale = flags.positive(arg, value());
-            scaleSet = true;
         } else if (arg == "--experiment") {
             experiment = value();
         } else if (arg == "--csv") {
@@ -187,71 +144,13 @@ main(int argc, char **argv)
                   experiment.c_str());
         TablePrinterSink table(stdout);
         RunExperimentOptions opts;
-        opts.scaleDiv = scaleSet ? scale : 0;
+        opts.scaleDiv = specFlags.scaleSet ? specFlags.scale : 0;
         runExperiment(*def, table, opts);
         obs::traceStop(); // writes --trace-out, if armed
         return 0;
     }
 
-    RunSpec spec;
-    spec.workload = makeWorkload(workload, scale);
-    spec.tw.cache = CacheConfig::icache(cache_bytes, line, assoc,
-                                        indexing);
-    spec.tw.costBackend = costBackend;
-    spec.tlb.costBackend = costBackend;
-    if (policy == "fifo")
-        spec.tw.cache.policy = ReplPolicy::FIFO;
-    else if (policy == "random")
-        spec.tw.cache.policy = ReplPolicy::Random;
-    else if (policy == "lru")
-        spec.tw.cache.policy = ReplPolicy::LRU;
-    else if (!policy.empty())
-        fatal("bad policy '%s'", policy.c_str());
-
-    if (kind == "data")
-        spec.tw.kind = SimCacheKind::Data;
-    else if (kind == "unified")
-        spec.tw.kind = SimCacheKind::Unified;
-    else if (kind != "instruction")
-        fatal("bad kind '%s'", kind.c_str());
-
-    if (sim == "tapeworm") {
-        spec.sim = SimKind::Tapeworm;
-        if (spec.tw.cache.assoc > 1
-            && spec.tw.cache.policy == ReplPolicy::LRU) {
-            // Trap-driven simulation never sees hits: no recency.
-            warn("trap-driven simulation cannot do LRU; using FIFO");
-            spec.tw.cache.policy = ReplPolicy::FIFO;
-        }
-    } else if (sim == "trace") {
-        spec.sim = SimKind::TraceDriven;
-        spec.c2k.cache = spec.tw.cache;
-        spec.c2k.cache.indexing = Indexing::Virtual;
-        spec.c2k.sampleNum = 1;
-        spec.c2k.sampleDenom = sample;
-    } else if (sim == "tlb") {
-        spec.sim = SimKind::TapewormTlbSim;
-        spec.tlb.tlb = CacheConfig::tlb(
-            tlb_entries, 0, static_cast<std::uint32_t>(tlb_page));
-    } else if (sim == "oracle") {
-        spec.sim = SimKind::Oracle;
-    } else {
-        fatal("bad sim '%s'", sim.c_str());
-    }
-    spec.tw.sampleNum = 1;
-    spec.tw.sampleDenom = sample;
-
-    if (scope == "all")
-        spec.sys.scope = SimScope::all();
-    else if (scope == "user")
-        spec.sys.scope = SimScope::userOnly();
-    else if (scope == "servers")
-        spec.sys.scope = SimScope::serversOnly();
-    else if (scope == "kernel")
-        spec.sys.scope = SimScope::kernelOnly();
-    else
-        fatal("bad scope '%s'", scope.c_str());
-
+    const RunSpec spec = specFlags.spec();
     auto outcomes = runTrials(spec, trials, seed, true);
     obs::traceStop(); // writes --trace-out, if armed
 
@@ -284,11 +183,12 @@ main(int argc, char **argv)
     if (!csv) {
         std::printf("workload=%s cache=%llu line=%u assoc=%u %s "
                     "%s sim=%s scope=%s sample=1/%u scale=1/%u\n\n",
-                    workload.c_str(),
-                    (unsigned long long)cache_bytes, line, assoc,
-                    indexingName(spec.tw.cache.indexing),
-                    replPolicyName(spec.tw.cache.policy), sim.c_str(),
-                    scope.c_str(), sample, scale);
+                    specFlags.workload.c_str(),
+                    (unsigned long long)specFlags.cacheBytes, specFlags.line,
+                    specFlags.assoc, indexingName(spec.tw.cache.indexing),
+                    replPolicyName(spec.tw.cache.policy),
+                    simKindName(spec.sim), specFlags.scope.c_str(),
+                    specFlags.sample, specFlags.scale);
         std::printf("%s", t.render().c_str());
     } else {
         std::printf("%s", t.renderCsv().c_str());

@@ -29,28 +29,35 @@ TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 # suite (FastPath included), the OS model and the simulator core
 # drive every such path. The serve and shard suites ride along: the
 # wire codec, the line readers and the router's nonblocking buffers
-# are parsing and buffer code fed straight from sockets.
+# are parsing and buffer code fed straight from sockets. So does the
+# spec reader, which parses request bytes straight off a socket: the
+# spec suites, the seeded mutation of canonical text and the
+# registry-wide round trip run under both sanitizers.
+SPEC_SUITES='SpecIo.*:SpecMutation.*:ExperimentRegistry.*'
 cmake -B build-asan -G Ninja -DTW_SANITIZE=address
 cmake --build build-asan --target test_integration test_os test_core \
-    test_serve test_shard
+    test_serve test_shard test_harness
 ./build-asan/tests/test_integration
 ./build-asan/tests/test_os
 ./build-asan/tests/test_core
 ./build-asan/tests/test_serve
 ./build-asan/tests/test_shard
+./build-asan/tests/test_harness --gtest_filter="$SPEC_SUITES"
 
 # UndefinedBehaviorSanitizer pass over the same engine suites plus
-# the memory model: the loop's pointer rewinds, its shifts by the
-# trap granule and the cache's index arithmetic are where undefined
-# behaviour would hide. Any report stops the test binary
+# the memory model and the spec suites: the loop's pointer rewinds,
+# its shifts by the trap granule, the cache's index arithmetic and
+# the reader's number conversions are where undefined behaviour
+# would hide. Any report stops the test binary
 # (-fno-sanitize-recover), so the step fails.
 cmake -B build-ubsan -G Ninja -DTW_SANITIZE=undefined
 cmake --build build-ubsan --target test_integration test_os test_core \
-    test_mem
+    test_mem test_harness
 ./build-ubsan/tests/test_integration
 ./build-ubsan/tests/test_os
 ./build-ubsan/tests/test_core
 ./build-ubsan/tests/test_mem
+./build-ubsan/tests/test_harness --gtest_filter="$SPEC_SUITES"
 
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which

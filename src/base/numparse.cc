@@ -85,8 +85,13 @@ void
 NumericFlags::malformed(const std::string &flag,
                         const std::string &text) const
 {
-    std::fprintf(stderr, "%s: %s: malformed value '%s'\n", prog_,
-                 flag.c_str(), text.c_str());
+    refuse(flag + ": malformed value '" + text + "'");
+}
+
+void
+NumericFlags::refuse(const std::string &why) const
+{
+    std::fprintf(stderr, "%s: %s\n", prog_, why.c_str());
     usage_(stderr);
     std::exit(2);
 }

@@ -54,6 +54,10 @@ class NumericFlags
     [[noreturn]] void malformed(const std::string &flag,
                                 const std::string &text) const;
 
+    /** Print "<prog>: <why>" and the usage text on stderr, and exit
+     *  with status 2: how any refused flag value ends the program. */
+    [[noreturn]] void refuse(const std::string &why) const;
+
   private:
     const char *prog_;
     void (*usage_)(std::FILE *);

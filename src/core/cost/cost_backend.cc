@@ -1,7 +1,7 @@
 #include "core/cost/cost_backend.hh"
 
 #include <cmath>
-#include <cstdlib>
+#include <limits>
 
 #include "base/logging.hh"
 #include "core/cost/dram_backend.hh"
@@ -79,6 +79,20 @@ DramTimingParams::operator==(const DramTimingParams &o) const
            && burstCycles == o.burstCycles && walkReads == o.walkReads;
 }
 
+std::string
+DramTimingParams::check() const
+{
+    if (channels == 0 || ranksPerChannel == 0 || banksPerRank == 0
+        || rowBytes == 0)
+        return "dram needs at least one bank and a non-zero row size";
+    // totalBanks() multiplies in unsigned, so a product past 32 bits
+    // would wrap (to zero banks at worst).
+    std::uint64_t ranks = std::uint64_t{channels} * ranksPerChannel;
+    if (ranks > std::numeric_limits<unsigned>::max() / banksPerRank)
+        return "dram channels x ranks x banks does not fit 32 bits";
+    return {};
+}
+
 bool
 CostBackendConfig::operator==(const CostBackendConfig &o) const
 {
@@ -108,149 +122,6 @@ makeCostBackend(const CostBackendConfig &cfg,
         return std::make_unique<DramBackend>(cfg.dram, table5);
     }
     panic("unknown cost backend kind %d", static_cast<int>(cfg.kind));
-}
-
-namespace
-{
-
-bool
-parseDramParam(const std::string &key, const std::string &value,
-               DramTimingParams &p, std::string &err)
-{
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (value.empty() || end == nullptr || *end != '\0') {
-        err = csprintf("cost backend: bad value '%s' for '%s'",
-                       value.c_str(), key.c_str());
-        return false;
-    }
-    if (key == "tRCD")
-        p.tRCD = static_cast<unsigned>(v);
-    else if (key == "tRP")
-        p.tRP = static_cast<unsigned>(v);
-    else if (key == "tCAS")
-        p.tCAS = static_cast<unsigned>(v);
-    else if (key == "tRAS")
-        p.tRAS = static_cast<unsigned>(v);
-    else if (key == "tRFC")
-        p.tRFC = static_cast<unsigned>(v);
-    else if (key == "tREFI")
-        p.tREFI = v;
-    else if (key == "rowBytes")
-        p.rowBytes = static_cast<unsigned>(v);
-    else if (key == "banks")
-        p.banksPerRank = static_cast<unsigned>(v);
-    else if (key == "ranks")
-        p.ranksPerChannel = static_cast<unsigned>(v);
-    else if (key == "channels")
-        p.channels = static_cast<unsigned>(v);
-    else if (key == "burst")
-        p.burstCycles = static_cast<unsigned>(v);
-    else if (key == "walkReads")
-        p.walkReads = static_cast<unsigned>(v);
-    else {
-        err = csprintf("cost backend: unknown dram key '%s'",
-                       key.c_str());
-        return false;
-    }
-    return true;
-}
-
-} // namespace
-
-bool
-parseCostBackendSpec(const std::string &text, CostBackendConfig &out,
-                     std::string &err)
-{
-    std::string name = text;
-    std::string params;
-    auto colon = text.find(':');
-    if (colon != std::string::npos) {
-        name = text.substr(0, colon);
-        params = text.substr(colon + 1);
-    }
-    CostBackendConfig cfg;
-    if (!costBackendKindFromName(name, cfg.kind)) {
-        err = csprintf("cost backend: unknown name '%s' (expected "
-                       "table5, ideal or dram)",
-                       name.c_str());
-        return false;
-    }
-    if (!params.empty() && cfg.kind != CostBackendKind::Dram) {
-        err = csprintf("cost backend: '%s' takes no parameters",
-                       name.c_str());
-        return false;
-    }
-    std::size_t pos = 0;
-    while (pos < params.size()) {
-        auto comma = params.find(',', pos);
-        if (comma == std::string::npos)
-            comma = params.size();
-        std::string kv = params.substr(pos, comma - pos);
-        pos = comma + 1;
-        auto eq = kv.find('=');
-        if (eq == std::string::npos) {
-            err = csprintf("cost backend: expected k=v, got '%s'",
-                           kv.c_str());
-            return false;
-        }
-        if (!parseDramParam(kv.substr(0, eq), kv.substr(eq + 1),
-                            cfg.dram, err))
-            return false;
-    }
-    if (cfg.kind == CostBackendKind::Dram) {
-        if (cfg.dram.totalBanks() == 0 || cfg.dram.rowBytes == 0) {
-            err = "cost backend: dram needs at least one bank and a "
-                  "non-zero row size";
-            return false;
-        }
-    }
-    out = cfg;
-    return true;
-}
-
-std::string
-formatCostBackendSpec(const CostBackendConfig &cfg)
-{
-    std::string s = costBackendKindName(cfg.kind);
-    if (cfg.kind != CostBackendKind::Dram)
-        return s;
-    const DramTimingParams def;
-    const DramTimingParams &p = cfg.dram;
-    std::string params;
-    auto add = [&params](const char *k, std::uint64_t v) {
-        if (!params.empty())
-            params += ',';
-        params += csprintf("%s=%llu", k,
-                           static_cast<unsigned long long>(v));
-    };
-    if (p.tRCD != def.tRCD)
-        add("tRCD", p.tRCD);
-    if (p.tRP != def.tRP)
-        add("tRP", p.tRP);
-    if (p.tCAS != def.tCAS)
-        add("tCAS", p.tCAS);
-    if (p.tRAS != def.tRAS)
-        add("tRAS", p.tRAS);
-    if (p.tRFC != def.tRFC)
-        add("tRFC", p.tRFC);
-    if (p.tREFI != def.tREFI)
-        add("tREFI", p.tREFI);
-    if (p.rowBytes != def.rowBytes)
-        add("rowBytes", p.rowBytes);
-    if (p.banksPerRank != def.banksPerRank)
-        add("banks", p.banksPerRank);
-    if (p.ranksPerChannel != def.ranksPerChannel)
-        add("ranks", p.ranksPerChannel);
-    if (p.channels != def.channels)
-        add("channels", p.channels);
-    if (p.burstCycles != def.burstCycles)
-        add("burst", p.burstCycles);
-    if (p.walkReads != def.walkReads)
-        add("walkReads", p.walkReads);
-    if (!params.empty())
-        s += ':' + params;
-    return s;
 }
 
 } // namespace tw

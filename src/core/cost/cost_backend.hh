@@ -183,6 +183,9 @@ struct DramTimingParams
         return channels * ranksPerChannel * banksPerRank;
     }
 
+    /** Why no backend can be built from these; empty when one can. */
+    std::string check() const;
+
     bool operator==(const DramTimingParams &o) const;
     bool operator!=(const DramTimingParams &o) const
     {
@@ -216,20 +219,6 @@ struct CostBackendConfig
 std::unique_ptr<CostBackend>
 makeCostBackend(const CostBackendConfig &cfg,
                 const TrapCostModel &table5);
-
-/**
- * Parse a CLI/env backend spec: NAME[:k=v,...], e.g.
- * "dram:tRCD=15,banks=16". Keys (dram only): tRCD, tRP, tCAS,
- * tRAS, tRFC, tREFI, rowBytes, banks, ranks, channels, burst,
- * walkReads. Returns false with a diagnostic in @p err on any
- * unknown name, unknown key, or malformed value.
- */
-bool parseCostBackendSpec(const std::string &text,
-                          CostBackendConfig &out, std::string &err);
-
-/** Render a config back to NAME[:k=v,...] (inverse of the parser;
- *  dram params are listed only where they differ from defaults). */
-std::string formatCostBackendSpec(const CostBackendConfig &cfg);
 
 } // namespace tw
 

@@ -14,16 +14,25 @@
  *  - the fingerprint hashes the same bytes into 64 bits, and a
  *    router places each trial on its ring by it.
  *
+ * The format is stated once, in specio.cc: one list per struct names
+ * its members in canonical order, with the conditional blocks and
+ * the "v":1 tags. The writer and the strict reader both walk that
+ * list, and so does the --cost-backend dram:k=v form, so none of
+ * them can drift from the others.
+ *
  * Canonicalization rules:
  *  - fields are emitted in a fixed order with no whitespace
  *    (Json::dump() on an insertion-ordered object);
  *  - doubles render with %.17g (exact round-trip), 64-bit integers
  *    as decimal (never through a double);
  *  - parsing is STRICT: a missing or unknown field is an error, so
- *    adding a member to RunSpec without teaching this file breaks
- *    the round-trip test instead of silently truncating the cache
- *    key. A value the engine would abort on (a cache geometry, a
- *    set-sampling fraction, a zero quantum) fails the parse too;
+ *    adding a member to RunSpec without listing it breaks the
+ *    round-trip test instead of silently truncating the cache key. A
+ *    number its member cannot hold (negative or too wide for an
+ *    integer, not finite for a double) fails the parse, and so does
+ *    a value the engine would abort on (a cache or dram geometry, a
+ *    set-sampling fraction, a zero quantum). So the canonical form
+ *    of every accepted text parses back to the same bytes;
  *  - RunOutcome::hostSeconds is EXCLUDED: it is transport metadata
  *    (wall-clock of whichever host computed the row), not part of
  *    the deterministic outcome, and including it would break the
@@ -115,9 +124,29 @@ std::uint64_t specFingerprint(const RunSpec &spec,
                               std::uint64_t trial_seed,
                               bool with_slowdown);
 
-/** Name <-> enum helpers shared with the CLI tools. */
+/**
+ * Parse a CLI backend spec: NAME[:k=v,...], e.g.
+ * "dram:tRCD=15,banks=16". The dram keys are those of the spec's
+ * dram block (channels, ranks, banks, rowBytes, tRCD, tRP, tCAS,
+ * tRAS, tRFC, tREFI, burst, walkReads), each value a decimal that
+ * fits its member. Returns false with a diagnostic in @p err on an
+ * unknown name or key, a malformed or out-of-range value, or a
+ * geometry the dram backend cannot build.
+ */
+bool parseCostBackendSpec(const std::string &text,
+                          CostBackendConfig &out, std::string &err);
+
+/** Render a config back to NAME[:k=v,...] (inverse of the parser;
+ *  dram params are listed, in canonical order, only where they
+ *  differ from the defaults). */
+std::string formatCostBackendSpec(const CostBackendConfig &cfg);
+
+/** Name <-> enum helpers shared with the CLI tools (the canonical
+ *  names, as the spec text spells them). */
 const char *simKindName(SimKind k);
 bool simKindFromName(const std::string &name, SimKind &out);
+bool indexingFromName(const std::string &name, Indexing &out);
+bool simCacheKindFromName(const std::string &name, SimCacheKind &out);
 
 } // namespace tw
 

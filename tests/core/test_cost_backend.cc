@@ -13,6 +13,7 @@
 #include "core/cost/cost_backend.hh"
 #include "core/cost/dram_backend.hh"
 #include "core/multilevel.hh"
+#include "harness/specio.hh"
 
 namespace tw
 {
@@ -273,6 +274,18 @@ TEST(CostBackend, ParserRejectsMalformedSpecs)
     EXPECT_FALSE(parseCostBackendSpec("dram:tRCD=5x", cfg, err));
     EXPECT_FALSE(parseCostBackendSpec("dram:banks=0", cfg, err));
     EXPECT_FALSE(parseCostBackendSpec("dram:rowBytes=0", cfg, err));
+    EXPECT_FALSE(parseCostBackendSpec("dram:channels=0", cfg, err));
+    EXPECT_FALSE(parseCostBackendSpec("dram:ranks=0", cfg, err));
+    // Values that used to wrap into another one (-1 ran as tRCD
+    // 4294967295, 2^32 + 1 banks as one bank), a sign, and a bank
+    // count whose product wraps to zero.
+    EXPECT_FALSE(parseCostBackendSpec("dram:tRCD=-1", cfg, err));
+    EXPECT_FALSE(parseCostBackendSpec("dram:banks=4294967297", cfg, err));
+    EXPECT_FALSE(parseCostBackendSpec(
+        "dram:tREFI=18446744073709551616", cfg, err));
+    EXPECT_FALSE(parseCostBackendSpec("dram:tRCD=+5", cfg, err));
+    EXPECT_FALSE(
+        parseCostBackendSpec("dram:channels=65536,ranks=65536", cfg, err));
 }
 
 TEST(CostBackend, FormatSpecInvertsParser)

@@ -383,6 +383,28 @@ TEST(Server, MalformedRequestGetsBadRequest)
                         Json::number(std::uint64_t{4294967297})));
     // A sampling fraction of 0 sets aborts building the Tapeworm.
     expectError(changed("tw.sampleNum", Json::number(0u)));
+    // A double that overflows reads as inf, whose canonical text no
+    // worker would take back.
+    expectError(changed("workload.fracKernel", Json::numberLexeme("1e309")));
+    expectError(
+        changed("tw.cost.cyclesPerInstr", Json::numberLexeme("1e309")));
+    expectError(changed("workload.kernelText.excursionProb",
+                        Json::numberLexeme("-1e309")));
+    expectError(changed("workload.bsdProb", Json::numberLexeme("1e999")));
+    // A dram geometry the backend asserts on, and values that would
+    // wrap into one.
+    RunSpec dram = smallSpec();
+    dram.tw.costBackend.kind = CostBackendKind::Dram;
+    auto dramTw = [&](const char *key, Json value) {
+        return withField(*specToJson(dram).find("tw"),
+                         std::string("costBackend.dram.") + key,
+                         std::move(value));
+    };
+    for (const char *key : {"channels", "ranks", "banks", "rowBytes"})
+        expectError(changed("tw", dramTw(key, Json::number(0u))));
+    expectError(changed(
+        "tw", dramTw("banks", Json::number(std::uint64_t{4294967297}))));
+    expectError(changed("tw", dramTw("tRCD", Json::numberLexeme("-1"))));
     // And the daemon is still there to answer.
     ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
     ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
@@ -391,7 +413,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 18u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 28u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 

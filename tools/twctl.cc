@@ -31,6 +31,7 @@
 
 #include "base/numparse.hh"
 #include "harness/experiment.hh"
+#include "harness/spec_flags.hh"
 #include "harness/specio.hh"
 #include "serve/client.hh"
 #include "serve/shard/shard_map.hh"
@@ -118,7 +119,9 @@ usage(std::FILE *out)
         "with an optional K or M suffix.\n\n"
         "exit status: 0 ok; 1 usage/transport; 2 server rejected "
         "(the\ncode — e.g. 'overloaded' — is printed to "
-        "stderr) or a\nmalformed number.\n");
+        "stderr), a\nmalformed number, a name outside a flag's "
+        "list, or a spec\nthe strict spec reader refuses (e.g. a "
+        "line below 16 bytes).\n");
 }
 
 struct SweepArgs
@@ -246,18 +249,10 @@ main(int argc, char **argv)
     unsigned poolVnodes = 0;
     const NumericFlags flags("twctl", usage);
 
-    std::string workload = "mpeg_play";
-    std::uint64_t cacheBytes = 4096, tlbPage = 4096;
-    unsigned line = 16, assoc = 1, sample = 1, trials = 1;
-    unsigned tlbEntries = 64;
+    SpecFlags specFlags(flags);
+    unsigned trials = 1;
     std::uint64_t seed = 1;
-    unsigned scale = 200;
-    bool scaleSet = false;
     std::string experiment;
-    Indexing indexing = Indexing::Physical;
-    std::string policy, sim = "tapeworm", kind = "instruction",
-                scope = "all";
-    CostBackendConfig costBackend;
     SweepArgs sweep;
     std::string seedList;
 
@@ -268,6 +263,8 @@ main(int argc, char **argv)
                 fatal("%s needs a value", arg.c_str());
             return argv[++i];
         };
+        if (specFlags.take(arg, value))
+            continue;
         if (arg == "--help") {
             usage(stdout);
             return 0;
@@ -281,43 +278,6 @@ main(int argc, char **argv)
             tcpHost = hp.substr(0, colon);
             tcpPort = static_cast<int>(
                 flags.number(arg, hp.substr(colon + 1), 1, 65535));
-        } else if (arg == "--workload") {
-            workload = value();
-        } else if (arg == "--cache") {
-            cacheBytes = flags.bytes(arg, value());
-        } else if (arg == "--line") {
-            line = flags.positive(arg, value());
-        } else if (arg == "--assoc") {
-            assoc = flags.positive(arg, value());
-        } else if (arg == "--indexing") {
-            std::string v = value();
-            if (v == "virtual")
-                indexing = Indexing::Virtual;
-            else if (v == "physical")
-                indexing = Indexing::Physical;
-            else
-                fatal("bad indexing '%s'", v.c_str());
-        } else if (arg == "--policy") {
-            policy = value();
-        } else if (arg == "--sim") {
-            sim = value();
-        } else if (arg == "--kind") {
-            kind = value();
-        } else if (arg == "--scope") {
-            scope = value();
-        } else if (arg == "--sample") {
-            sample = flags.positive(arg, value());
-        } else if (arg == "--cost-backend") {
-            std::string v = value(), err;
-            if (!parseCostBackendSpec(v, costBackend, err))
-                fatal("--cost-backend: %s", err.c_str());
-        } else if (arg == "--tlb-entries") {
-            tlbEntries = flags.positive(arg, value());
-        } else if (arg == "--tlb-page") {
-            tlbPage = flags.bytes(arg, value());
-        } else if (arg == "--scale") {
-            scale = flags.positive(arg, value());
-            scaleSet = true;
         } else if (arg == "--experiment") {
             experiment = value();
         } else if (arg == "--trials") {
@@ -363,61 +323,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // ---- Build the spec (mirrors twsim) ---------------------------
-    RunSpec &spec = sweep.spec;
-    spec.workload = makeWorkload(workload, scale);
-    spec.tw.cache =
-        CacheConfig::icache(cacheBytes, line, assoc, indexing);
-    if (policy == "fifo")
-        spec.tw.cache.policy = ReplPolicy::FIFO;
-    else if (policy == "random")
-        spec.tw.cache.policy = ReplPolicy::Random;
-    else if (policy == "lru")
-        spec.tw.cache.policy = ReplPolicy::LRU;
-    else if (!policy.empty())
-        fatal("bad policy '%s'", policy.c_str());
-    if (kind == "data")
-        spec.tw.kind = SimCacheKind::Data;
-    else if (kind == "unified")
-        spec.tw.kind = SimCacheKind::Unified;
-    else if (kind != "instruction")
-        fatal("bad kind '%s'", kind.c_str());
-    if (sim == "tapeworm") {
-        spec.sim = SimKind::Tapeworm;
-        if (spec.tw.cache.assoc > 1
-            && spec.tw.cache.policy == ReplPolicy::LRU) {
-            warn("trap-driven simulation cannot do LRU; using FIFO");
-            spec.tw.cache.policy = ReplPolicy::FIFO;
-        }
-    } else if (sim == "trace") {
-        spec.sim = SimKind::TraceDriven;
-        spec.c2k.cache = spec.tw.cache;
-        spec.c2k.cache.indexing = Indexing::Virtual;
-        spec.c2k.sampleNum = 1;
-        spec.c2k.sampleDenom = sample;
-    } else if (sim == "tlb") {
-        spec.sim = SimKind::TapewormTlbSim;
-        spec.tlb.tlb = CacheConfig::tlb(
-            tlbEntries, 0, static_cast<std::uint32_t>(tlbPage));
-    } else if (sim == "oracle") {
-        spec.sim = SimKind::Oracle;
-    } else {
-        fatal("bad sim '%s'", sim.c_str());
-    }
-    spec.tw.sampleNum = 1;
-    spec.tw.sampleDenom = sample;
-    spec.tw.costBackend = costBackend;
-    spec.tlb.costBackend = costBackend;
-    if (scope == "all")
-        spec.sys.scope = SimScope::all();
-    else if (scope == "user")
-        spec.sys.scope = SimScope::userOnly();
-    else if (scope == "servers")
-        spec.sys.scope = SimScope::serversOnly();
-    else if (scope == "kernel")
-        spec.sys.scope = SimScope::kernelOnly();
-    else
-        fatal("bad scope '%s'", scope.c_str());
+    sweep.spec = specFlags.spec();
+    const RunSpec &spec = sweep.spec;
 
     // ---- Seed list ------------------------------------------------
     if (!seedList.empty()) {
@@ -462,7 +369,7 @@ main(int argc, char **argv)
                   "shows the registry)",
                   experiment.c_str());
         RunExperimentOptions opts;
-        opts.scaleDiv = scaleSet ? scale : 0;
+        opts.scaleDiv = specFlags.scaleSet ? specFlags.scale : 0;
         if (command == "local") {
             for (const ExperimentJob &job : experimentJobs(*def, opts)) {
                 RunOutcome out =
