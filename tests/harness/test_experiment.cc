@@ -34,14 +34,14 @@ namespace
  *  twctl --experiment call these by name. */
 const char *kExpectedNames[] = {
     "breakeven",   "dcache_writepolicy", "dilation_correction",
-    "families",    "fig2",               "fig2_rate",
-    "fig3",        "fig4",               "fragmentation",
-    "hybrid",      "kessler",            "multilevel",
-    "onepass",     "pagecolor",          "resample",
-    "smoke",       "split",              "table10",
-    "table11",     "table12",            "table4",
-    "table5",      "table6",             "table7",
-    "table8",      "table9",
+    "families",    "fig2",               "fig3",
+    "fig4",        "fragmentation",      "hybrid",
+    "kessler",     "multilevel",         "onepass",
+    "pagecolor",   "resample",           "smoke",
+    "split",       "table10",            "table11",
+    "table12",     "table4",             "table5",
+    "table6",      "table7",             "table8",
+    "table9",
 };
 
 /** The settings a grid honours: the defaults (the paper setup) and
@@ -186,8 +186,6 @@ TEST(ExperimentRegistry, GridFingerprintsPinned)
          {0x7e510abf8632ed94ull, 0x7e510abf8632ed94ull}},
         {"fig2",
          {0xe6f9e0b04094a356ull, 0xceb87e4afbd1a144ull}},
-        {"fig2_rate",
-         {0xce938803b383776bull, 0x69e79ffbbdce4f83ull}},
         {"fig3",
          {0x8929c597bbe398e3ull, 0x6e60b5b191496b2aull}},
         {"fig4",
