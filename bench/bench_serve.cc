@@ -25,20 +25,67 @@
  */
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include <unistd.h>
 
-#include "common.hh"
+#include "base/numparse.hh"
+#include "base/table.hh"
+#include "base/thread_pool.hh"
+#include "harness/experiment.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "serve/shard/router.hh"
 
-using namespace twbench;
+using namespace tw;
 
 namespace
 {
+
+void
+usage(std::FILE *out)
+{
+    std::fprintf(out,
+                 "usage: bench_serve [--pooled] [--threads <n>] "
+                 "[--report]\n"
+                 "\n"
+                 "options:\n"
+                 "  --pooled         bench 1, 2 and 3 workers behind "
+                 "a router instead of one server\n"
+                 "  --threads <n>    engine workers of the one server "
+                 "(default: all cores)\n"
+                 "  --report         write BENCH_serve.json "
+                 "(BENCH_serve_shard.json with --pooled)\n"
+                 "  --help           this text\n"
+                 "\n"
+                 "<n> is a positive integer; anything else exits 2, as "
+                 "does an unknown option.\n"
+                 "TW_SCALE_DIV sets the workload scale divisor "
+                 "(default 4000).\n");
+}
+
+/** Print the bench header. */
+void
+banner(const char *artifact, const char *description,
+       unsigned scale_div)
+{
+    std::printf("==============================================="
+                "=================\n");
+    std::printf("%s — %s\n", artifact, description);
+    std::printf("workloads scaled 1/%u; miss columns extrapolated "
+                "to paper scale; %u trial thread(s)\n", scale_div,
+                defaultThreads());
+    std::printf("==============================================="
+                "=================\n");
+}
 
 constexpr unsigned kSeedsPerRequest = 4;
 
@@ -185,20 +232,49 @@ runPooled(const RunSpec &spec, unsigned pool_size, unsigned clients,
 int
 main(int argc, char **argv)
 {
-    initBench(argc, argv);
-    bool report = hasFlag(argc, argv, "--report");
-    bool pooled = hasFlag(argc, argv, "--pooled");
+    bool report = false;
+    bool pooled = false;
+    const NumericFlags flags("bench_serve", usage);
+    for (int i = 1; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (std::strcmp(arg, "--report") == 0) {
+            report = true;
+        } else if (std::strcmp(arg, "--pooled") == 0) {
+            pooled = true;
+        } else if (std::strcmp(arg, "--threads") == 0
+                   || std::strncmp(arg, "--threads=", 10) == 0) {
+            if (arg[9] != '=' && i + 1 >= argc)
+                flags.refuse("--threads requires a value");
+            const char *v = arg[9] == '=' ? arg + 10 : argv[++i];
+            setDefaultThreads(flags.positive("--threads", v));
+        } else if (std::strcmp(arg, "--help") == 0
+                   || std::strcmp(arg, "-h") == 0) {
+            usage(stdout);
+            return 0;
+        } else {
+            flags.refuse(std::string("unknown option ") + arg);
+        }
+    }
     unsigned scale = parseScaleDiv(std::getenv("TW_SCALE_DIV"), 4000);
+
+    // The scalar metrics of BENCH_<name>.json, written with --report
+    // in the schema bench_driver --report writes.
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::pair<std::string, double>> metrics;
+    auto writeReport = [&](const char *name) {
+        if (!report)
+            return;
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        writeBenchReport(name, name, "bench_serve", wall, metrics);
+    };
 
     if (pooled) {
         banner("twserved pool",
                "sharded service: cold vs cached sweeps through the "
                "router at 1/2/3 workers",
                scale);
-        std::unique_ptr<JsonReport> json;
-        if (report)
-            json = std::make_unique<JsonReport>("serve_shard",
-                                                "bench_serve");
         RunSpec spec;
         spec.workload = makeWorkload("espresso", scale);
         spec.sys.scope = SimScope::userOnly();
@@ -217,9 +293,7 @@ main(int argc, char **argv)
         double cached1 = 0;
         const unsigned hostCpus =
             std::max(1u, std::thread::hardware_concurrency());
-        if (json)
-            json->set("host_cpus",
-                      static_cast<std::uint64_t>(hostCpus));
+        metrics.emplace_back("host_cpus", hostCpus);
         for (unsigned pool : {1u, 2u, 3u}) {
             seedBase += 10'000'000;
             auto [cold, cached] =
@@ -233,19 +307,17 @@ main(int argc, char **argv)
                           csprintf("%zu", s.requests),
                           fmtF(s.rps, 1), fmtF(s.p50Ms, 3),
                           fmtF(s.p99Ms, 3)});
-                if (json) {
-                    std::string prefix =
-                        csprintf("%s_w%u_", phase, pool);
-                    json->set(prefix + "rps", s.rps);
-                    json->set(prefix + "p50_ms", s.p50Ms);
-                    json->set(prefix + "p99_ms", s.p99Ms);
-                }
+                std::string prefix = csprintf("%s_w%u_", phase, pool);
+                metrics.emplace_back(prefix + "rps", s.rps);
+                metrics.emplace_back(prefix + "p50_ms", s.p50Ms);
+                metrics.emplace_back(prefix + "p99_ms", s.p99Ms);
             }
             if (pool == 1)
                 cached1 = cached.rps;
-            else if (json && cached1 > 0)
-                json->set(csprintf("cached_scaling_w%u", pool),
-                          cached.rps / cached1);
+            else if (cached1 > 0)
+                metrics.emplace_back(
+                    csprintf("cached_scaling_w%u", pool),
+                    cached.rps / cached1);
         }
         std::printf("%s\n", t.render().c_str());
         std::printf(
@@ -255,14 +327,11 @@ main(int argc, char **argv)
             "needs cores for the pool to spread over: this host "
             "has %u CPU(s), so expect scaling ~%s.\n",
             hostCpus, hostCpus >= 6 ? ">1" : "flat (CPU-bound)");
+        writeReport("serve_shard");
         return 0;
     }
     banner("twserved", "experiment-service throughput: cold vs "
                        "cached sweeps, 1/4/16 clients", scale);
-
-    std::unique_ptr<JsonReport> json;
-    if (report)
-        json = std::make_unique<JsonReport>("serve", "bench_serve");
 
     RunSpec spec;
     spec.workload = makeWorkload("espresso", scale);
@@ -299,13 +368,10 @@ main(int argc, char **argv)
             t.addRow({csprintf("%u", clients), phase,
                       csprintf("%zu", s.requests), fmtF(s.rps, 1),
                       fmtF(s.p50Ms, 3), fmtF(s.p99Ms, 3)});
-            if (json) {
-                std::string prefix =
-                    csprintf("%s_c%u_", phase, clients);
-                json->set(prefix + "rps", s.rps);
-                json->set(prefix + "p50_ms", s.p50Ms);
-                json->set(prefix + "p99_ms", s.p99Ms);
-            }
+            std::string prefix = csprintf("%s_c%u_", phase, clients);
+            metrics.emplace_back(prefix + "rps", s.rps);
+            metrics.emplace_back(prefix + "p50_ms", s.p50Ms);
+            metrics.emplace_back(prefix + "p99_ms", s.p99Ms);
         }
         if (clients == 1 && cold.p50Ms > 0)
             std::printf("[serve] cached/cold p50 speedup at 1 "
@@ -333,15 +399,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(flushes),
                 rowsPerFlush,
                 static_cast<unsigned long long>(batched));
-    if (json) {
-        json->set("net_flushes",
-                  static_cast<double>(flushes));
-        json->set("net_rows_streamed",
-                  static_cast<double>(streamed));
-        json->set("net_batched_rows",
-                  static_cast<double>(batched));
-        json->set("rows_per_flush", rowsPerFlush);
-    }
+    metrics.emplace_back("net_flushes", static_cast<double>(flushes));
+    metrics.emplace_back("net_rows_streamed",
+                         static_cast<double>(streamed));
+    metrics.emplace_back("net_batched_rows", static_cast<double>(batched));
+    metrics.emplace_back("rows_per_flush", rowsPerFlush);
 
     std::printf("Shape targets: cached sweeps should be far cheaper "
                 "than cold ones (no Runner work, just cache lookups "
@@ -349,5 +411,6 @@ main(int argc, char **argv)
                 "count until the worker pool saturates.\n");
 
     server.stop();
+    writeReport("serve");
     return 0;
 }

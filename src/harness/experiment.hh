@@ -317,8 +317,8 @@ class NdjsonSink : public StatSink
  * Write BENCH_<report>.json in the unified schema (schema_version,
  * bench, experiment, generated_by, threads, wall_clock_s, then the
  * metrics in insertion order) and print the [json] stdout line.
- * JsonReportSink and the legacy bench JsonReport wrapper both
- * funnel through here so every checked-in report stays uniform.
+ * JsonReportSink and bench_serve's report both funnel through
+ * here so every report stays uniform.
  *
  * @p obs_metrics optionally appends a `"metrics"` object — a
  * snapshot of the process-wide obs registry (engine.* counters and
