@@ -24,7 +24,11 @@
 #ifndef TW_BASE_JSON_HH
 #define TW_BASE_JSON_HH
 
+#include <cerrno>
 #include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,6 +131,44 @@ class Json
 
 /** Append @p s to @p out as a JSON string literal (with quotes). */
 void jsonEscape(const std::string &s, std::string &out);
+
+/**
+ * @p v as an I, or nothing when it is not a number or an I cannot
+ * hold it: negative for an unsigned I, past its range, or not
+ * finite. asU64() and asI64() clamp such values, or cast them with
+ * undefined behaviour, so every integer that arrives from outside —
+ * a spec's members, a request's seeds, counts and deadlines — is
+ * read through here.
+ */
+template <typename I>
+std::optional<I>
+integerValue(const Json &v)
+{
+    using L = std::numeric_limits<I>;
+    if (!v.isNumber() || (!L::is_signed && v.isNegative()))
+        return {};
+    const std::string &lexeme = v.lexeme();
+    if (lexeme.find_first_of(".eE") != std::string::npos) {
+        // Through the double, range-checked before the cast.
+        double d = v.asDouble();
+        if (!(d > static_cast<double>(L::min()) - 1.0
+              && d < static_cast<double>(L::max()) + 1.0))
+            return {};
+        return static_cast<I>(d);
+    }
+    errno = 0;
+    if constexpr (L::is_signed) {
+        long long x = std::strtoll(lexeme.c_str(), nullptr, 10);
+        if (errno == ERANGE || x < L::min() || x > L::max())
+            return {};
+        return static_cast<I>(x);
+    } else {
+        unsigned long long x = std::strtoull(lexeme.c_str(), nullptr, 10);
+        if (errno == ERANGE || x > L::max())
+            return {};
+        return static_cast<I>(x);
+    }
+}
 
 } // namespace tw
 

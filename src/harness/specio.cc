@@ -1,10 +1,8 @@
 #include "harness/specio.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -651,41 +649,6 @@ class Writer
 
     Json j_ = Json::object();
 };
-
-/**
- * @p v as an I, or nothing when an I cannot hold it: negative for an
- * unsigned I, past its range, or not finite. Json's own accessors
- * clamp such values, or cast them with undefined behaviour.
- */
-template <typename I>
-std::optional<I>
-integerValue(const Json &v)
-{
-    using L = std::numeric_limits<I>;
-    if (!L::is_signed && v.isNegative())
-        return {};
-    const std::string &lexeme = v.lexeme();
-    if (lexeme.find_first_of(".eE") != std::string::npos) {
-        // Through the double, range-checked before the cast.
-        double d = v.asDouble();
-        if (!(d > static_cast<double>(L::min()) - 1.0
-              && d < static_cast<double>(L::max()) + 1.0))
-            return {};
-        return static_cast<I>(d);
-    }
-    errno = 0;
-    if constexpr (L::is_signed) {
-        long long x = std::strtoll(lexeme.c_str(), nullptr, 10);
-        if (errno == ERANGE || x < L::min() || x > L::max())
-            return {};
-        return static_cast<I>(x);
-    } else {
-        unsigned long long x = std::strtoull(lexeme.c_str(), nullptr, 10);
-        if (errno == ERANGE || x > L::max())
-            return {};
-        return static_cast<I>(x);
-    }
-}
 
 /**
  * Fills a struct from its list, strictly: every member is required

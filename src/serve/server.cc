@@ -643,12 +643,15 @@ Server::handleReserve(const std::shared_ptr<Session> &session,
                       std::uint64_t id, const Json &reqJson)
 {
     metrics_.reserves.inc();
-    const Json *j = reqJson.find("jobs");
-    if (!j || !j->isNumber() || j->isNegative()
-        || j->asU64() == 0)
-        return badRequest(session, id,
-                          "jobs must be a positive integer");
-    auto n = static_cast<std::size_t>(j->asU64());
+    const char *kJobs = "jobs must be a positive integer";
+    std::string why;
+    std::optional<std::uint64_t> jobs =
+        requestU64(reqJson.find("jobs"), "jobs", kJobs, why);
+    if (!jobs)
+        return badRequest(session, id, why);
+    if (*jobs == 0)
+        return badRequest(session, id, kJobs);
+    auto n = static_cast<std::size_t>(*jobs);
     if (!queue_.tryReserve(n)) {
         metrics_.reserveRejects.inc();
         if (stopping_.load()) {
@@ -681,14 +684,16 @@ Server::handleRelease(const std::shared_ptr<Session> &session,
                       std::uint64_t id, const Json &reqJson)
 {
     metrics_.releases.inc();
-    const Json *j = reqJson.find("reservation");
-    if (!j || !j->isNumber() || j->isNegative())
-        return badRequest(session, id,
-                          "reservation must be a non-negative integer");
+    std::string why;
+    std::optional<std::uint64_t> token = requestU64(
+        reqJson.find("reservation"), "reservation",
+        "reservation must be a non-negative integer", why);
+    if (!token)
+        return badRequest(session, id, why);
     // Idempotent: releasing a settled (or never-issued) token
     // releases 0 — a router retrying a release after a timeout must
     // not get an error storm.
-    std::size_t slots = takeReservation(j->asU64(), session.get());
+    std::size_t slots = takeReservation(*token, session.get());
     if (slots > 0)
         queue_.releaseReserved(slots);
     Json resp = replyFrame(id, "ok");
@@ -706,12 +711,18 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         badRequest(session, id, msg);
     };
 
+    // The bad_request of a number that does not read.
+    std::string why;
+
     TrialRequest trials;
     std::uint64_t reservation = 0;
     if (const Json *j = reqJson.find("reservation")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("reservation must be a non-negative integer");
-        reservation = j->asU64();
+        std::optional<std::uint64_t> r =
+            requestU64(j, "reservation",
+                       "reservation must be a non-negative integer", why);
+        if (!r)
+            return bad(why);
+        reservation = *r;
     }
     if (const Json *j = reqJson.find("experiment")) {
         if (!j->isString())
@@ -719,9 +730,11 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         trials.experiment = j->asString();
     }
     if (const Json *j = reqJson.find("deadline_ms")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad("deadline_ms must be a non-negative number");
-        trials.deadlineMs = j->asU64();
+        trials.deadlineMs = requestU64(
+            j, "deadline_ms", "deadline_ms must be a non-negative number",
+            why);
+        if (!trials.deadlineMs)
+            return bad(why);
     }
     // Batch-level default spec: jobs that omit their own "spec"
     // share this one, parsed once. A fan-out batch is usually one
@@ -763,10 +776,12 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
             return bad("job has no spec and the request has no "
                        "default spec");
         }
-        const Json *seedj = jj.find("seed");
-        if (!seedj || !seedj->isNumber() || seedj->isNegative())
-            return bad("job seed must be a non-negative integer");
-        t.seed = seedj->asU64();
+        std::optional<std::uint64_t> seed =
+            requestU64(jj.find("seed"), "job seed",
+                       "job seed must be a non-negative integer", why);
+        if (!seed)
+            return bad(why);
+        t.seed = *seed;
         if (const Json *j = jj.find("slowdown")) {
             if (!j->isBool())
                 return bad("job slowdown must be a bool");
@@ -774,10 +789,13 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         }
         t.index = i;
         if (const Json *j = jj.find("trial")) {
-            if (!j->isNumber() || j->isNegative())
-                return bad("job trial must be a non-negative "
-                           "integer");
-            t.index = j->asU64();
+            std::optional<std::uint64_t> trial =
+                requestU64(j, "job trial",
+                           "job trial must be a non-negative integer",
+                           why);
+            if (!trial)
+                return bad(why);
+            t.index = *trial;
         }
         if (const Json *j = jj.find("unit")) {
             if (!j->isString())
@@ -786,9 +804,12 @@ Server::handleRunJobs(const std::shared_ptr<Session> &session,
         }
         t.seq = t.index;
         if (const Json *j = jj.find("seq")) {
-            if (!j->isNumber() || j->isNegative())
-                return bad("job seq must be a non-negative integer");
-            t.seq = j->asU64();
+            std::optional<std::uint64_t> seq =
+                requestU64(j, "job seq",
+                           "job seq must be a non-negative integer", why);
+            if (!seq)
+                return bad(why);
+            t.seq = *seq;
         }
     }
     admitTrials(session, id, std::move(trials), reservation);

@@ -33,8 +33,9 @@ decodeRequestLine(const std::string &line, RequestLine &out,
         err = "unparseable request: " + perr;
         return false;
     }
-    if (const Json *j = out.json.find("id"); j && j->isNumber())
-        out.id = j->asU64();
+    // An id that is not a u64 reads as none, like a non-number one.
+    if (const Json *j = out.json.find("id"))
+        out.id = integerValue<std::uint64_t>(*j).value_or(0);
     const Json *op = out.json.find("op");
     if (!op || !op->isString()) {
         err = "missing op";
@@ -42,6 +43,20 @@ decodeRequestLine(const std::string &line, RequestLine &out,
     }
     out.op = op->asString();
     return true;
+}
+
+std::optional<std::uint64_t>
+requestU64(const Json *j, const char *field, const char *kind_msg,
+           std::string &err)
+{
+    if (!j || !j->isNumber() || j->isNegative()) {
+        err = kind_msg;
+        return {};
+    }
+    std::optional<std::uint64_t> v = integerValue<std::uint64_t>(*j);
+    if (!v)
+        err = std::string(field) + " is out of range";
+    return v;
 }
 
 namespace
@@ -80,12 +95,14 @@ decodeSubmit(const Json &req, TrialRequest &out, std::string &err)
     std::vector<std::uint64_t> seeds;
     seeds.reserve(seedsj->size());
     for (std::size_t i = 0; i < seedsj->size(); ++i) {
-        const Json &s = seedsj->at(i);
-        // asU64 clamps negative lexemes to 0 instead of wrapping; a
-        // clamped seed would silently compute the wrong trial.
-        if (!s.isNumber() || s.isNegative())
-            return bad(err, "seeds must be non-negative integers");
-        seeds.push_back(s.asU64());
+        // A clamped or wrapped seed would silently compute the wrong
+        // trial.
+        std::optional<std::uint64_t> seed =
+            requestU64(&seedsj->at(i), "seeds",
+                       "seeds must be non-negative integers", err);
+        if (!seed)
+            return false;
+        seeds.push_back(*seed);
     }
     bool slowdown = true;
     if (const Json *j = req.find("slowdown")) {
@@ -94,9 +111,11 @@ decodeSubmit(const Json &req, TrialRequest &out, std::string &err)
         slowdown = j->asBool();
     }
     if (const Json *j = req.find("deadline_ms")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad(err, "deadline_ms must be a non-negative number");
-        out.deadlineMs = j->asU64();
+        out.deadlineMs = requestU64(
+            j, "deadline_ms", "deadline_ms must be a non-negative number",
+            err);
+        if (!out.deadlineMs)
+            return false;
     }
 
     out.trials.resize(seeds.size());
@@ -126,11 +145,13 @@ decodeRunExperiment(const Json &req, TrialRequest &out,
     // default (the paper setup).
     RunExperimentOptions opts;
     if (const Json *j = req.find("scale")) {
-        if (!j->isNumber() || j->isNegative())
-            return bad(err, "scale must be a non-negative number");
-        if (j->asU64() > std::numeric_limits<unsigned>::max())
+        std::optional<std::uint64_t> scale = requestU64(
+            j, "scale", "scale must be a non-negative number", err);
+        if (!scale)
+            return false;
+        if (*scale > std::numeric_limits<unsigned>::max())
             return bad(err, "scale is out of range");
-        opts.scaleDiv = static_cast<unsigned>(j->asU64());
+        opts.scaleDiv = static_cast<unsigned>(*scale);
     }
 
     // The SAME deterministic enumeration bench_driver runs locally:

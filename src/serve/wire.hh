@@ -67,6 +67,18 @@ struct RequestLine
 bool decodeRequestLine(const std::string &line, RequestLine &out,
                        std::string &err);
 
+/**
+ * The request field @p field, @p j, as an unsigned 64-bit integer,
+ * read through integerValue(). Nothing, with the bad_request message
+ * in @p err, when @p j is absent, not a number or negative
+ * (@p kind_msg), or one that no u64 holds ("<field> is out of
+ * range"). Every count, seed and deadline of the client ops and the
+ * worker-link ops is read here.
+ */
+std::optional<std::uint64_t> requestU64(const Json *j, const char *field,
+                                        const char *kind_msg,
+                                        std::string &err);
+
 /** One trial a request asks for. */
 struct Trial
 {

@@ -327,7 +327,9 @@ TEST(Server, MalformedRequestGetsBadRequest)
     serve::LineReader reader(fd);
     std::string line;
 
-    auto expectError = [&](const std::string &req) {
+    // @p msg, when given, is the message the error must carry.
+    auto expectError = [&](const std::string &req,
+                           const char *msg = nullptr) {
         ASSERT_TRUE(serve::sendLine(fd, req));
         ASSERT_EQ(reader.readLine(line),
                   serve::LineReader::Status::Line);
@@ -336,6 +338,9 @@ TEST(Server, MalformedRequestGetsBadRequest)
         EXPECT_EQ(resp.find("ev")->asString(), "error");
         EXPECT_EQ(resp.find("code")->asString(),
                   serve::kErrBadRequest);
+        if (msg) {
+            EXPECT_EQ(resp.find("msg")->asString(), msg) << req;
+        }
     };
     expectError("this is not json");
     expectError("{\"id\":1}");
@@ -405,6 +410,39 @@ TEST(Server, MalformedRequestGetsBadRequest)
     expectError(changed(
         "tw", dramTw("banks", Json::number(std::uint64_t{4294967297}))));
     expectError(changed("tw", dramTw("tRCD", Json::numberLexeme("-1"))));
+    // Numbers that no u64 holds, in the client ops and in the
+    // worker-link ops: each was an undefined cast, and 2^64 clamped
+    // to 2^64 - 1, a different trial.
+    const std::string spec = Json::str(formatRunSpec(smallSpec())).dump();
+    auto submit = [&](const std::string &fields) {
+        return "{\"id\":8,\"op\":\"submit\",\"spec\":" + spec + ","
+               + fields + "}";
+    };
+    auto runJobs = [&](const std::string &fields, const std::string &job) {
+        return "{\"id\":9,\"op\":\"run_jobs\"," + fields
+               + "\"jobs\":[{\"spec\":" + spec + "," + job + "}]}";
+    };
+    expectError(submit("\"seeds\":[1e309]"), "seeds is out of range");
+    expectError(submit("\"seeds\":[1e20]"), "seeds is out of range");
+    expectError(submit("\"seeds\":[18446744073709551616]"),
+                "seeds is out of range");
+    expectError(submit("\"seeds\":[1],\"deadline_ms\":1e309"),
+                "deadline_ms is out of range");
+    expectError("{\"id\":10,\"op\":\"reserve\",\"jobs\":1e309}",
+                "jobs is out of range");
+    expectError("{\"id\":11,\"op\":\"release\",\"reservation\":1e309}",
+                "reservation is out of range");
+    expectError(runJobs("\"reservation\":1e309,", "\"seed\":1"),
+                "reservation is out of range");
+    expectError(runJobs("\"deadline_ms\":1e309,", "\"seed\":1"),
+                "deadline_ms is out of range");
+    expectError(runJobs("", "\"seed\":1e309"), "job seed is out of range");
+    expectError(runJobs("", "\"seed\":18446744073709551616"),
+                "job seed is out of range");
+    expectError(runJobs("", "\"seed\":1,\"trial\":1e309"),
+                "job trial is out of range");
+    expectError(runJobs("", "\"seed\":1,\"seq\":1e309"),
+                "job seq is out of range");
     // And the daemon is still there to answer.
     ASSERT_TRUE(serve::sendLine(fd, "{\"id\":7,\"op\":\"ping\"}"));
     ASSERT_EQ(reader.readLine(line), serve::LineReader::Status::Line);
@@ -413,7 +451,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 28u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 40u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 

@@ -57,6 +57,15 @@ TEST(Wire, RequestLineErrorsKeepTheirMessages)
     req = decoded("{\"id\":8,\"op\":\"ping\"}");
     EXPECT_EQ(req.id, 8u);
     EXPECT_EQ(req.op, "ping");
+
+    // An id that no u64 holds reads as none, as a non-number one
+    // does.
+    for (const char *id : {"1e309", "1e20", "18446744073709551616",
+                           "-1", "\"8\""}) {
+        req = decoded(std::string("{\"id\":") + id
+                      + ",\"op\":\"ping\"}");
+        EXPECT_EQ(req.id, 0u) << id;
+    }
 }
 
 TEST(Wire, SubmitSharesOneSpecAcrossItsSeeds)
@@ -117,6 +126,21 @@ TEST(Wire, MalformedTrialRequestsKeepTheirMessages)
         // 2^32 + 1 must not narrow to a 1/1 run.
         {"{\"op\":\"run_experiment\",\"experiment\":\"smoke\","
          "\"scale\":4294967297}",
+         "scale is out of range"},
+        // Numbers no u64 holds: casting them is undefined, and 2^64
+        // would clamp to 2^64 - 1 and run a different trial.
+        {"{\"op\":\"submit\",\"spec\":" + spec + ",\"seeds\":[1e309]}",
+         "seeds is out of range"},
+        {"{\"op\":\"submit\",\"spec\":" + spec + ",\"seeds\":[1,1e20]}",
+         "seeds is out of range"},
+        {"{\"op\":\"submit\",\"spec\":" + spec
+             + ",\"seeds\":[18446744073709551616]}",
+         "seeds is out of range"},
+        {"{\"op\":\"submit\",\"spec\":" + spec
+             + ",\"seeds\":[1],\"deadline_ms\":1e309}",
+         "deadline_ms is out of range"},
+        {"{\"op\":\"run_experiment\",\"experiment\":\"smoke\","
+         "\"scale\":1e309}",
          "scale is out of range"},
     };
     for (const auto &[line, msg] : kCases) {
