@@ -12,10 +12,9 @@
  *
  * This codec implements a (39,32) Hamming SECDED code — 32 data
  * bits, 6 Hamming check bits, 1 overall parity bit — and the
- * trap-vs-true-error discrimination described above. It is used by
- * the fault-injection tests and the trap-mechanism example; the fast
- * path of the machine model keeps a plain trap bit per granule
- * instead of storing full codewords.
+ * trap-vs-true-error discrimination described above. EccMemory
+ * stores its codewords; the fast path of the machine model keeps a
+ * plain trap bit per granule instead of storing full codewords.
  */
 
 #ifndef TW_MACHINE_ECC_HH

@@ -8,8 +8,10 @@
  * by actually flipping the designated check bit, and every read
  * decodes the codeword — distinguishing Tapeworm traps from genuine
  * single- and double-bit memory errors exactly as the real
- * DECstation implementation did. Used by the fault-injection tests
- * and the trap-mechanism study (bench_ecc_faults).
+ * DECstation implementation did. Its tests hold it to PhysMem: the
+ * same trap sets and clears give the same trap verdict on every
+ * word, and injected faults read as true errors, never as traps
+ * (tests/machine/test_ecc_memory.cc).
  */
 
 #ifndef TW_MACHINE_ECC_MEMORY_HH

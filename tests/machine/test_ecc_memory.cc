@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "base/random.hh"
 #include "machine/ecc_memory.hh"
+#include "machine/phys_mem.hh"
 
 namespace tw
 {
@@ -117,6 +121,91 @@ TEST(EccMemory, FootnoteOneDiscrimination)
             EXPECT_EQ(mem.lastResult(), EccCodec::Result::Ok) << w;
         }
     }
+}
+
+TEST(EccMemory, TrapVerdictsMatchPhysMem)
+{
+    // The link from the abstract trap bit to footnote 1's mechanism.
+    // One seeded sequence of tw_set_trap / tw_clear_trap goes to
+    // PhysMem's granule bits and, as check-bit flips on every word of
+    // each granule the range overlaps, to real codewords over the
+    // same words. The flip is a toggle, so a set flips only a word
+    // not trapped yet, and a clear only a trapped one: the trap lives
+    // in the codeword alone. Every read must give both the same trap
+    // verdict and the word's data.
+    constexpr std::uint64_t kBytes = kHostPageBytes;
+    constexpr std::size_t kWords = kBytes / kWordBytes;
+    constexpr std::size_t kWordsPerGranule = kTrapGranuleBytes / kWordBytes;
+    PhysMem phys(kBytes);
+    EccMemory ecc(kWords);
+    Rng rng(21);
+    std::vector<std::uint32_t> data(kWords);
+    for (std::size_t w = 0; w < kWords; ++w) {
+        data[w] = static_cast<std::uint32_t>(rng.next());
+        ecc.write(w, data[w]);
+    }
+    auto expectSameVerdicts = [&](int op) {
+        for (std::size_t w = 0; w < kWords; ++w) {
+            ASSERT_EQ(ecc.read(w), data[w]) << "op " << op << " word " << w;
+            ASSERT_EQ(ecc.lastResult() == EccCodec::Result::TapewormTrap,
+                      phys.isTrapped(w * kWordBytes))
+                << "op " << op << " word " << w << ": "
+                << eccResultName(ecc.lastResult());
+        }
+    };
+    for (int op = 0; op < 400; ++op) {
+        const Addr pa = rng.below(kBytes);
+        const std::uint64_t size =
+            1 + rng.below(std::min<std::uint64_t>(4 * kTrapGranuleBytes,
+                                                  kBytes - pa));
+        const bool set = rng.chance(0.5);
+        if (set)
+            phys.setTrap(pa, size);
+        else
+            phys.clearTrap(pa, size);
+        const std::size_t first = pa / kTrapGranuleBytes * kWordsPerGranule;
+        const std::size_t last =
+            (pa + size - 1) / kTrapGranuleBytes * kWordsPerGranule;
+        for (std::size_t w = first; w < last + kWordsPerGranule; ++w)
+            if (ecc.isTrapped(w) != set)
+                ecc.flipTrapBit(w);
+        expectSameVerdicts(op);
+    }
+    const std::uint64_t trapped = phys.countTrapped();
+    EXPECT_GT(trapped, 0u);
+    EXPECT_LT(trapped, phys.numGranules());
+
+    // A true fault on an untrapped word is never a trap: one flipped
+    // bit (other than the trap check bit, whose flip IS the trap)
+    // reads as a corrected single-bit error, and two as a double-bit
+    // error.
+    std::size_t untrapped = 0;
+    for (std::size_t w = 0; w < kWords; ++w) {
+        if (phys.isTrapped(w * kWordBytes))
+            continue;
+        ++untrapped;
+        unsigned a, b;
+        do {
+            a = static_cast<unsigned>(rng.below(EccCodec::kBits));
+        } while (a == EccCodec::kTrapCheckBit);
+        do {
+            b = static_cast<unsigned>(rng.below(EccCodec::kBits));
+        } while (b == a);
+        ecc.injectFault(w, a);
+        EXPECT_EQ(ecc.read(w), data[w]) << w;
+        EXPECT_EQ(ecc.lastResult(), EccCodec::Result::SingleBitError)
+            << w << " bit " << a;
+        ecc.injectFault(w, b);
+        ecc.read(w);
+        EXPECT_EQ(ecc.lastResult(), EccCodec::Result::DoubleBitError)
+            << w << " bits " << a << "," << b;
+        ecc.injectFault(w, b);
+        ecc.injectFault(w, a);
+    }
+    EXPECT_GT(untrapped, 0u);
+    EXPECT_EQ(ecc.stats().trueSingleErrors, untrapped);
+    EXPECT_EQ(ecc.stats().trueDoubleErrors, untrapped);
+    expectSameVerdicts(-1);
 }
 
 TEST(EccMemoryDeath, OutOfRange)
