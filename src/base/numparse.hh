@@ -3,8 +3,8 @@
  * Strict decimal parsing of the numbers a command line or the
  * environment gives a program. Only digits are accepted: no sign,
  * space, base prefix or suffix, and no value past the bound. Every
- * numeric flag of bench_driver, twsim, twctl and twserved, and
- * TW_SCALE_DIV, goes through here, so a malformed value is refused
+ * numeric flag of bench_driver, bench_serve, twsim, twctl and
+ * twserved, and TW_SCALE_DIV, goes through here, so a malformed value is refused
  * the same way everywhere instead of reading as 0 or a default.
  */
 
