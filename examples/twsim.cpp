@@ -76,8 +76,9 @@ usage(std::FILE *out)
         "N and BYTES are positive integers, SEED any 64-bit "
         "unsigned\ninteger and SIZE a byte count of at least 64 "
         "with an optional\nK or M suffix; anything else exits "
-        "2, as does a\nname outside a flag's list or a spec the "
-        "strict spec reader\nrefuses (e.g. a line below 16 bytes).\n");
+        "2, as does an\nunknown option, a name outside a flag's "
+        "list or a spec the\nstrict spec reader refuses (e.g. a "
+        "line below 16 bytes).\n");
 }
 
 } // namespace
@@ -122,8 +123,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace-out") {
             tracePath = value();
         } else {
-            usage(stderr);
-            fatal("unknown option '%s'", arg.c_str());
+            flags.refuse("unknown option '" + arg + "'");
         }
     }
 

@@ -11,9 +11,8 @@ cmake -B build -G Ninja
 cmake --build build
 
 # Tier-1 suite three ways: once serial, once dispatching trials
-# across 4 workers (which also exercises the NUMA-sharded dispatch
-# path on multi-node hosts), and once with the wide trap-bitmap
-# scans forced scalar — the results must agree bit-for-bit in every
+# across 4 workers, and once with the wide trap-bitmap scans forced
+# scalar — the results must agree bit-for-bit in every
 # mode (the parallel_trials and fast-path suites assert this
 # directly; running everything each way keeps every other test
 # honest about hidden shared state and SIMD/scalar divergence too).
@@ -45,22 +44,24 @@ cmake --build build-asan --target test_integration test_os test_core \
 ./build-asan/tests/test_harness --gtest_filter="$SPEC_SUITES"
 
 # UndefinedBehaviorSanitizer pass over the same engine suites plus
-# the memory model, the spec suites and the serve suite: the loop's
-# pointer rewinds, its shifts by the trap granule, the cache's index
-# arithmetic and the number conversions of the spec reader and the
-# wire are where undefined behaviour would hide (the build adds
-# float-cast-overflow, which GCC's undefined group leaves out). Any
-# report stops the test binary (-fno-sanitize-recover), so the step
-# fails.
+# the memory model, the spec suites and the serve and shard suites:
+# the loop's pointer rewinds, its shifts by the trap granule, the
+# cache's index arithmetic and the number conversions of the spec
+# reader, the wire and the router's worker links (a fake worker
+# answers with a number no u64 holds) are where undefined behaviour
+# would hide (the build adds float-cast-overflow, which GCC's
+# undefined group leaves out). Any report stops the test binary
+# (-fno-sanitize-recover), so the step fails.
 cmake -B build-ubsan -G Ninja -DTW_SANITIZE=undefined
 cmake --build build-ubsan --target test_integration test_os test_core \
-    test_mem test_harness test_serve
+    test_mem test_harness test_serve test_shard
 ./build-ubsan/tests/test_integration
 ./build-ubsan/tests/test_os
 ./build-ubsan/tests/test_core
 ./build-ubsan/tests/test_mem
 ./build-ubsan/tests/test_harness --gtest_filter="$SPEC_SUITES"
 ./build-ubsan/tests/test_serve
+./build-ubsan/tests/test_shard
 
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which
@@ -72,13 +73,13 @@ cmake --build build-tsan --target test_harness test_base \
     test_integration test_serve test_obs test_shard test_core
 TW_THREADS=4 ./build-tsan/tests/test_harness \
     --gtest_filter='ParallelTrials.*'
-# Adaptive stopping batches trials through the same pool and then
-# reads the prefix back on the coordinating thread — prove the
+# Adaptive stopping batches trials through the same parallelFor and
+# then reads the prefix back on the coordinating thread — prove the
 # batch barrier and the per-index outcome writes race-free.
 TW_THREADS=4 ./build-tsan/tests/test_harness \
     --gtest_filter='AdaptiveTrials.*:ExperimentAdaptive.*'
 TW_THREADS=4 ./build-tsan/tests/test_base \
-    --gtest_filter='ThreadPool.*:ParallelFor.*:BoundedQueue.*'
+    --gtest_filter='ParallelFor.*:BoundedQueue.*'
 # The SIMD span scans and per-worker arenas are new shared state on
 # the trial hot path: prove the dispatch pointers, the granule
 # bitmaps under concurrent scans, and the thread-local arena

@@ -50,8 +50,8 @@ Arena::newChunk(std::size_t min_bytes)
 
     auto *raw = static_cast<unsigned char *>(
         ::operator new(sizeof(Chunk) + usable));
-    // First-touch the whole chunk now, on this thread: with pinned
-    // workers that places the backing pages on the worker's node.
+    // Touch the whole chunk now, so its pages fault in here, once,
+    // and not inside the trials that reuse it.
     std::memset(raw, 0, sizeof(Chunk) + usable);
 
     auto *chunk = reinterpret_cast<Chunk *>(raw);

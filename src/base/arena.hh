@@ -13,10 +13,8 @@
  *  - reset() rewinds to the first chunk but KEEPS the chunks, so
  *    after the first trial on a worker the steady state is zero
  *    malloc/free per trial;
- *  - chunks are memset once when first mapped, so on a pinned
- *    worker the backing pages are first-touched on the worker's own
- *    NUMA node (see base/numa.hh) and stay local for every
- *    subsequent trial it serves.
+ *  - chunks are memset once when first mapped, so their pages fault
+ *    in then and not inside the trials that reuse them.
  *
  * Lifetime rule: everything allocated from an arena dies before the
  * enclosing ArenaScope does. Trial code keeps that invariant by

@@ -16,6 +16,13 @@
  * accepted — the graceful-SIGTERM path: every admitted job still
  * produces its result row before the daemon exits.
  *
+ * pause() holds every item in the queue until resume(): pop() hands
+ * nothing out meanwhile, not even to a consumer that was already
+ * blocked in it, and a paused queue that still holds items does not
+ * end a drain even once closed. The service's tests use it to fill
+ * the queue deterministically and to freeze admitted jobs across a
+ * stop.
+ *
  * Distribution adds RESERVATIONS (two-phase admission): a router
  * fanning one sweep across several shards must know every shard has
  * room before committing any of them. tryReserve(n) claims n slots
@@ -221,7 +228,7 @@ class BoundedQueue
     }
 
     /**
-     * Take the oldest item, blocking while the queue is open and
+     * Take the oldest item, blocking while the queue is paused or
      * empty. nullopt once the queue is closed AND drained — the
      * consumer's termination signal.
      */
@@ -231,8 +238,9 @@ class BoundedQueue
         std::optional<T> out;
         {
             std::unique_lock<std::mutex> lock(mutex_);
-            itemReady_.wait(lock,
-                            [&] { return closed_ || !items_.empty(); });
+            itemReady_.wait(lock, [&] {
+                return items_.empty() ? closed_ : !paused_;
+            });
             if (items_.empty())
                 return std::nullopt;
             out.emplace(std::move(items_.front()));
@@ -242,7 +250,7 @@ class BoundedQueue
         return out;
     }
 
-    /** Non-blocking take; nullopt when empty. */
+    /** Non-blocking take; nullopt when empty. Ignores pause(). */
     std::optional<T>
     tryPop()
     {
@@ -256,6 +264,26 @@ class BoundedQueue
         }
         spaceReady_.notify_one();
         return out;
+    }
+
+    /** Hold every item until resume(): pop() takes none meanwhile
+     *  (see file comment). */
+    void
+    pause()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        paused_ = true;
+    }
+
+    /** Let pop() take items again. */
+    void
+    resume()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            paused_ = false;
+        }
+        itemReady_.notify_all();
     }
 
     /**
@@ -284,6 +312,7 @@ class BoundedQueue
     std::deque<T> items_;
     std::size_t reserved_ = 0;
     bool closed_ = false;
+    bool paused_ = false;
 };
 
 } // namespace tw

@@ -1,6 +1,6 @@
 /**
  * @file
- * A small fixed-size thread pool and a deterministic parallelFor.
+ * A deterministic parallelFor and the harness-wide worker count.
  *
  * The experiment harness parallelizes across *trials* — independent
  * runs of the whole simulated machine under different seeds — never
@@ -9,7 +9,7 @@
  * of a parallel sweep is bit-identical to the serial order no matter
  * how many workers execute it or in what order they finish.
  *
- * The pool is deliberately work-stealing-free: workers pull the next
+ * Dispatch is deliberately work-stealing-free: workers pull the next
  * index from one shared atomic counter. Trials are coarse (millions
  * of simulated instructions each), so contention on the counter is
  * unmeasurable and the simplicity keeps the determinism argument
@@ -19,52 +19,11 @@
 #ifndef TW_BASE_THREAD_POOL_HH
 #define TW_BASE_THREAD_POOL_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace tw
 {
-
-/**
- * Fixed-size pool of worker threads draining one FIFO task queue.
- */
-class ThreadPool
-{
-  public:
-    /** Start @p threads workers (at least one). */
-    explicit ThreadPool(unsigned threads);
-
-    /** Drains the queue, then joins all workers. */
-    ~ThreadPool();
-
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /** Number of worker threads. */
-    unsigned size() const { return static_cast<unsigned>(workers_.size()); }
-
-    /** Enqueue one task; runs on some worker, FIFO order. */
-    void run(std::function<void()> task);
-
-    /** Block until every queued task has finished executing. */
-    void wait();
-
-  private:
-    void workerLoop();
-
-    std::mutex mutex_;
-    std::condition_variable workReady_;
-    std::condition_variable allDone_;
-    std::deque<std::function<void()>> queue_;
-    std::vector<std::thread> workers_;
-    unsigned pending_ = 0; //!< tasks queued or executing
-    bool stopping_ = false;
-};
 
 /** Number of hardware threads the host reports (at least 1). */
 unsigned hardwareThreads();
@@ -81,12 +40,13 @@ unsigned defaultThreads();
 void setDefaultThreads(unsigned n);
 
 /**
- * Run body(0) .. body(n-1), dispatching the indices across
- * @p threads workers (0 = defaultThreads()). Indices are handed out
- * in order from a shared counter; completion order is unspecified,
- * so the body must only write state owned by its own index. Runs
- * inline (no threads spawned) when the resolved width or @p n
- * is <= 1.
+ * Run body(0) .. body(n-1) on @p threads workers (0 =
+ * defaultThreads()): the calling thread and width-1 threads started
+ * for this call, which drain one shared counter and are joined
+ * before it returns. Indices are handed out in order; completion
+ * order is unspecified, so the body must only write state owned by
+ * its own index. Runs inline (no threads started) when the resolved
+ * width or @p n is <= 1.
  *
  * A body that throws terminates the process — harness work reports
  * failure via fatal()/panic(), not exceptions.

@@ -4,7 +4,6 @@
 #include <cstdarg>
 
 #include "base/logging.hh"
-#include "base/random.hh"
 #include "base/table.hh"
 #include "base/thread_pool.hh"
 #include "harness/specio.hh"
@@ -45,19 +44,6 @@ TrialPlan::adaptive(unsigned max_n, std::uint64_t base,
     rule.enabled = true;
     plan.stopWhen = rule;
     return plan;
-}
-
-std::vector<std::uint64_t>
-derivedTrialSeeds(unsigned n, std::uint64_t base)
-{
-    // The runTrials rule, verbatim: trial t draws mixSeed(base,
-    // 1000 + t). Kept in one place so a registry entry, a local
-    // runTrials sweep and a served sweep of the same base seed hit
-    // the same ResultCache keys.
-    std::vector<std::uint64_t> seeds(n);
-    for (unsigned t = 0; t < n; ++t)
-        seeds[t] = mixSeed(base, 1000 + t);
-    return seeds;
 }
 
 // --------------------------------------------------------------------
@@ -367,7 +353,7 @@ runExperiment(const ExperimentDef &def, StatSink &sink,
         ctx.units_ = def.grid(gridOpts);
 
     // Flatten every fixed-plan (unit, trial) into one parallelFor so
-    // a sweep saturates the pool even when units run few trials.
+    // a sweep keeps every worker busy even when units run few trials.
     // Per-index writes keep the result bit-identical to a serial
     // loop. Adaptive units run afterwards, one batched sweep each:
     // their trial count is a run-time quantity, so they cannot join

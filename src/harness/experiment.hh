@@ -75,7 +75,7 @@ struct TrialPlan
     /** A single run with @p seed. */
     static TrialPlan one(std::uint64_t seed, bool with_slowdown = false);
 
-    /** @p n trials seeded the runTrials way: mixSeed(base, 1000+t). */
+    /** @p n trials with the seeds derivedTrialSeeds(n, base). */
     static TrialPlan derived(unsigned n, std::uint64_t base,
                              bool with_slowdown = false);
 
@@ -85,10 +85,6 @@ struct TrialPlan
                               StopRule rule,
                               bool with_slowdown = false);
 };
-
-/** The seeds TrialPlan::derived produces (shared with runTrials). */
-std::vector<std::uint64_t> derivedTrialSeeds(unsigned n,
-                                             std::uint64_t base);
 
 /** One grid point: an id unique within the experiment, a spec, and
  *  the trials to run on it. */

@@ -23,26 +23,25 @@ obsTrialsRun()
 
 } // anonymous namespace
 
+std::vector<std::uint64_t>
+derivedTrialSeeds(unsigned n, std::uint64_t base)
+{
+    // The one statement of the rule: a registry entry, a local
+    // runTrials sweep and a served sweep of the same base seed hit
+    // the same ResultCache keys.
+    std::vector<std::uint64_t> seeds(n);
+    for (unsigned t = 0; t < n; ++t)
+        seeds[t] = mixSeed(base, 1000 + t);
+    return seeds;
+}
+
 std::vector<RunOutcome>
 runTrials(const RunSpec &spec, unsigned n, std::uint64_t base_seed,
           bool with_slowdown, unsigned threads)
 {
-    // Each trial derives its seed from its index alone and writes
-    // only its own slot, so the vector is bit-identical to a serial
-    // run for any thread count (completion order never matters).
-    std::vector<RunOutcome> outcomes(n);
-    parallelFor(
-        n,
-        [&](std::uint64_t t) {
-            std::uint64_t seed =
-                mixSeed(base_seed, 1000 + static_cast<unsigned>(t));
-            outcomes[t] = with_slowdown
-                              ? Runner::runWithSlowdown(spec, seed)
-                              : Runner::runOne(spec, seed);
-        },
-        threads);
-    obsTrialsRun().add(n);
-    return outcomes;
+    return runTrialsAdaptive(spec, derivedTrialSeeds(n, base_seed),
+                             StopRule{}, with_slowdown, threads)
+        .outcomes;
 }
 
 AdaptiveTrialsResult
@@ -57,28 +56,9 @@ runTrialsAdaptive(const RunSpec &spec,
     AdaptiveTrialsResult res;
     res.plannedTrials = static_cast<unsigned>(seeds.size());
     const unsigned total = res.plannedTrials;
-
-    if (!rule.enabled) {
-        res.outcomes.resize(total);
-        parallelFor(
-            total,
-            [&](std::uint64_t t) {
-                res.outcomes[t] =
-                    with_slowdown
-                        ? Runner::runWithSlowdown(spec, seeds[t])
-                        : Runner::runOne(spec, seeds[t]);
-            },
-            threads);
-        obsTrialsRun().add(total);
-        RunningStat rs;
-        for (const auto &o : res.outcomes)
-            rs.push(o.estMisses);
-        res.mean = rs.mean();
-        res.ciHalfWidth = tHalfWidth(rs, 0.95);
-        return res;
-    }
-
-    const unsigned batch = std::max(1u, rule.batch);
+    // A disabled rule runs every seed as one batch.
+    const unsigned batch =
+        rule.enabled ? std::max(1u, rule.batch) : total;
     res.outcomes.resize(total);
     unsigned done = 0;
     while (done < total) {
@@ -87,6 +67,9 @@ runTrialsAdaptive(const RunSpec &spec,
         unsigned want = done == 0 ? std::max(rule.minTrials, batch)
                                   : batch;
         unsigned stop = std::min(total, done + want);
+        // Each trial writes only its own slot, so the outcomes are
+        // bit-identical to a serial run for any thread count
+        // (completion order never matters).
         parallelFor(
             stop - done,
             [&](std::uint64_t i) {

@@ -11,6 +11,7 @@
 #ifndef TW_HARNESS_TRIALS_HH
 #define TW_HARNESS_TRIALS_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "base/stats.hh"
@@ -73,9 +74,18 @@ struct AdaptiveTrialsResult
 };
 
 /**
- * Run @p n trials of @p spec with seeds derived from @p base_seed.
+ * The seeds of @p n trials derived from @p base: trial t draws
+ * mixSeed(base, 1000 + t). runTrials, TrialPlan::derived and twctl's
+ * --trials all take their seeds from here.
+ */
+std::vector<std::uint64_t> derivedTrialSeeds(unsigned n,
+                                             std::uint64_t base);
+
+/**
+ * Run @p n trials of @p spec with the seeds derivedTrialSeeds(n,
+ * @p base_seed): runTrialsAdaptive over them with the rule disabled.
  *
- * Trials are dispatched across a thread pool (parallelism is across
+ * Trials are dispatched through parallelFor (parallelism is across
  * trials, never within a simulated machine). Outcomes land in the
  * vector by trial index, and every field except the host wall-clock
  * time (RunOutcome::hostSeconds) is bit-identical to a serial run
@@ -93,10 +103,10 @@ std::vector<RunOutcome> runTrials(const RunSpec &spec, unsigned n,
 /**
  * Run at most seeds.size() trials of @p spec, stopping early once
  * @p rule's CI target is met (see StopRule). With rule.enabled ==
- * false this degenerates to runTrials over all seeds. Batches
- * dispatch through the same thread pool as runTrials; outcomes are
- * written per-index, so the returned prefix is bit-identical to the
- * full sweep's prefix regardless of @p threads.
+ * false every seed runs, as one batch. Each batch dispatches
+ * through parallelFor; outcomes are written per-index, so the
+ * returned prefix is bit-identical to the full sweep's prefix
+ * regardless of @p threads.
  */
 AdaptiveTrialsResult runTrialsAdaptive(
     const RunSpec &spec, const std::vector<std::uint64_t> &seeds,

@@ -104,8 +104,10 @@ Client::exchange(
             err = "bad frame from server: " + perr;
             return false;
         }
+        // An id that no u64 holds reads as none, as in
+        // decodeRequestLine.
         const Json *idj = frame.find("id");
-        if (!idj || idj->asU64() != id)
+        if (!idj || integerValue<std::uint64_t>(*idj).value_or(0) != id)
             continue; // a frame for some other request id
         const Json *evj = frame.find("ev");
         if (on_frame(frame, evj ? evj->asString() : std::string()))
@@ -129,12 +131,19 @@ Client::collectRows(Json req,
             return false;
         }
         if (ev == "done") {
-            if (const Json *j = frame.find("cached"))
-                result.cached = j->asU64();
-            if (const Json *j = frame.find("computed"))
-                result.computed = j->asU64();
-            if (const Json *j = frame.find("expired"))
-                result.expired = j->asU64();
+            for (auto [key, field] :
+                 {std::pair{"cached", &result.cached},
+                  {"computed", &result.computed},
+                  {"expired", &result.expired}}) {
+                std::optional<std::uint64_t> v =
+                    peerU64(frame, key, result.errorMsg);
+                if (!v) {
+                    result.errorMsg =
+                        "bad frame from server: " + result.errorMsg;
+                    return true;
+                }
+                *field = *v;
+            }
             result.ok = true;
         } else if (ev == "error") {
             if (const Json *j = frame.find("code"))

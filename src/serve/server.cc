@@ -216,7 +216,6 @@ Server::requestStop()
     // New submits now bounce with shutting_down; admitted jobs
     // keep draining because close() allows pops until empty.
     queue_.close();
-    wakeWorkers();
     {
         std::lock_guard<std::mutex> lock(stopMutex_);
         stopRequested_ = true;
@@ -289,54 +288,13 @@ Server::stop()
 void
 Server::pauseWorkers()
 {
-    std::lock_guard<std::mutex> lock(workMutex_);
-    paused_ = true;
+    queue_.pause();
 }
 
 void
 Server::resumeWorkers()
 {
-    {
-        std::lock_guard<std::mutex> lock(workMutex_);
-        paused_ = false;
-    }
-    workCv_.notify_all();
-}
-
-void
-Server::wakeWorkers()
-{
-    // Producers mutate queue state under the BoundedQueue's own
-    // mutex, but workers wait on workCv_/workMutex_ with a
-    // predicate over that state. Taking workMutex_ — even empty —
-    // before notifying closes the lost-wakeup window: a worker is
-    // either already blocked (the notify reaches it) or its next
-    // predicate check is ordered after this critical section and
-    // sees the new queue state. A bare notify_all() could land
-    // between a worker's predicate check and its block and be lost,
-    // stalling an admitted sweep forever.
-    { std::lock_guard<std::mutex> lock(workMutex_); }
-    workCv_.notify_all();
-}
-
-std::optional<Server::Job>
-Server::nextJob()
-{
-    std::unique_lock<std::mutex> lock(workMutex_);
-    while (true) {
-        workCv_.wait(lock, [this] {
-            return !paused_
-                   && (queue_.size() > 0 || queue_.closed());
-        });
-        // tryPop under workMutex_: dequeue is serialized through
-        // this one place, so the paused predicate above is the
-        // whole truth — a paused server can never lose a job to a
-        // worker that was already waiting.
-        if (std::optional<Job> job = queue_.tryPop())
-            return job;
-        if (queue_.closed())
-            return std::nullopt; // closed and drained
-    }
+    queue_.resume();
 }
 
 void
@@ -605,9 +563,6 @@ Server::admitTrials(const std::shared_ptr<Session> &session,
             return;
         }
         metrics_.jobsInFlight.add(static_cast<std::int64_t>(n));
-        // Wake workers parked in nextJob(): the queue has its own
-        // cv, but dequeues are serialized on workCv_ (pause gate).
-        wakeWorkers();
     } else if (reservedSlots > 0) {
         // Every reserved trial became a cache hit between reserve
         // and commit; hand the slots straight back.
@@ -851,7 +806,7 @@ void
 Server::workerLoop()
 {
     while (true) {
-        std::optional<Job> job = nextJob();
+        std::optional<Job> job = queue_.pop();
         if (!job)
             return; // closed and drained
         double waitUs = usSince(job->enqueued);

@@ -20,8 +20,8 @@
  *                 BoundedQueue<Job>  (backpressure edge)
  *                        │
  *                        ▼
- *                 worker pool ──► Runner::runOne/runWithSlowdown
- *                        │           (ThreadPool-equivalent width)
+ *                 worker threads ──► Runner::runOne/runWithSlowdown
+ *                        │      (ServerConfig::workers of them)
  *                        ▼
  *                 result cache insert + row streamed to session
  *
@@ -129,8 +129,7 @@ class Server
     Json statsJson();
 
     /**
-     * Test hooks. Every worker pop happens under the same mutex
-     * with a predicate that includes the pause flag, so after
+     * Test hooks over BoundedQueue::pause()/resume(): after
      * pauseWorkers() returns no job can be dequeued — even by a
      * worker that was already blocked waiting for work. Tests use
      * this to deterministically fill the queue (full-queue
@@ -158,9 +157,6 @@ class Server
      *  threads toward EMFILE. */
     void reapSessions();
     void workerLoop();
-    /** The single dequeue point: blocks honoring the pause gate;
-     *  nullopt when the queue is closed and drained. */
-    std::optional<Job> nextJob();
     void handleLine(const std::shared_ptr<Session> &session,
                     const std::string &line);
     /** Count and answer a bad_request. */
@@ -196,8 +192,6 @@ class Server
      *  slots). */
     void releaseSessionReservations(const Session *owner);
     void finishOne(const std::shared_ptr<Request> &req);
-    /** Notify workCv_ without losing the wakeup (see definition). */
-    void wakeWorkers();
 
     ServerConfig cfg_;
     ResultCache cache_;
@@ -220,12 +214,6 @@ class Server
     /** A list so entries have stable addresses: each session thread
      *  marks its own entry finished and the accept loop reaps it. */
     std::list<SessionEntry> sessions_;
-
-    /** Guards worker dequeue + the pause flag (see pauseWorkers).
-     *  Producers notify workCv_ after admitting jobs. */
-    std::mutex workMutex_;
-    std::condition_variable workCv_;
-    bool paused_ = false;
 
     /** Outstanding two-phase reservations: token -> (slots, owning
      *  session). The queue holds the aggregate reserved count; this

@@ -68,6 +68,38 @@ rc()
  *  were admitted for — the Server's default send timeout. */
 constexpr std::chrono::seconds kDrainFlushTimeout{30};
 
+/** Per-experiment ResultCache (hits, misses), summed over shards. */
+using ExperimentCounts =
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>;
+
+/**
+ * Add the per-experiment hits and misses of one shard's @p stats to
+ * @p totals. False, adding nothing, when one is a number that no
+ * u64 holds (see peerU64).
+ */
+bool
+addExperimentCounts(ExperimentCounts &totals, const Json &stats,
+                    std::string &err)
+{
+    const Json *exps = stats.find("experiments");
+    if (!exps || !exps->isObject())
+        return true;
+    ExperimentCounts shard;
+    for (const auto &[name, e] : exps->members()) {
+        std::optional<std::uint64_t> hits = peerU64(e, "hits", err),
+                                     misses = peerU64(e, "misses", err);
+        if (!hits || !misses)
+            return false;
+        shard[name].first += *hits;
+        shard[name].second += *misses;
+    }
+    for (const auto &[name, counts] : shard) {
+        totals[name].first += counts.first;
+        totals[name].second += counts.second;
+    }
+    return true;
+}
+
 } // anonymous namespace
 
 /** Common epoll-tag head: every registered pointer starts with a
@@ -159,6 +191,7 @@ struct Router::AdminFan
     bool stats = true; //!< else flush-cache
     unsigned outstanding = 0;
     Json shards = Json::object();
+    ExperimentCounts experiments;
 };
 
 Router::Router(RouterConfig cfg) : cfg_(std::move(cfg)), map_(cfg_.vnodes)
@@ -898,19 +931,21 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
 {
     Json resp;
     std::string err;
-    if (!Json::parse(line, resp, &err) || !resp.isObject()) {
-        w->conn.dead = true; // protocol violation; cut the link
-        return;
-    }
-    std::uint64_t id = 0;
-    if (const Json *j = resp.find("id"); j && j->isNumber())
-        id = j->asU64();
+    // A line that does not parse, or a number no u64 holds, is a
+    // protocol violation: cut the link (markLinkDown then fails the
+    // ops still in flight on it with shard_failed).
+    auto violation = [w] { w->conn.dead = true; };
+    if (!Json::parse(line, resp, &err) || !resp.isObject())
+        return violation();
+    std::optional<std::uint64_t> id = peerU64(resp, "id", err);
+    if (!id)
+        return violation();
     const Json *evj = resp.find("ev");
     if (!evj || !evj->isString())
         return;
     const std::string &ev = evj->asString();
 
-    auto it = ops_.find(id);
+    auto it = ops_.find(*id);
     if (it == ops_.end())
         return; // settled already (late row after a failure)
     OpRef ref = it->second;
@@ -921,18 +956,21 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
         Pending &p = *ref.pending;
         if (p.failed || !p.client)
             return; // optimistic streaming: late rows are dropped
-        Json row = resp;
-        row.set("id", Json::number(p.clientId));
-        const Json *seqj = p.experiment.empty() ? row.find("trial")
-                                                : row.find("seq");
+        const Json *seqj =
+            resp.find(p.experiment.empty() ? "trial" : "seq");
         if (!seqj || !seqj->isNumber())
             return;
-        std::uint64_t seq = seqj->asU64();
+        std::optional<std::uint64_t> seq =
+            integerValue<std::uint64_t>(*seqj);
+        if (!seq)
+            return violation();
+        Json row = resp;
+        row.set("id", Json::number(p.clientId));
         std::string framed = row.dump();
         framed.push_back('\n');
-        if (seq != p.nextSeq)
+        if (*seq != p.nextSeq)
             rc().rowsBuffered.inc();
-        p.buffered[seq] = std::move(framed);
+        p.buffered[*seq] = std::move(framed);
         emitReadyRows(p);
         if (std::find(rowsQueued_.begin(), rowsQueued_.end(), p.client)
             == rowsQueued_.end())
@@ -943,17 +981,21 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
     if (ev == "done") {
         if (ref.kind != OpRef::Kind::Run)
             return;
+        std::optional<std::uint64_t> rows = peerU64(resp, "rows", err);
+        std::optional<std::uint64_t> cached = peerU64(resp, "cached", err);
+        std::optional<std::uint64_t> computed =
+            peerU64(resp, "computed", err);
+        std::optional<std::uint64_t> expired =
+            peerU64(resp, "expired", err);
+        if (!rows || !cached || !computed || !expired)
+            return violation();
         ops_.erase(it);
         Pending &p = *ref.pending;
         Pending::Part &part = p.parts[ref.part];
-        auto acc = [&resp](const char *k) -> std::uint64_t {
-            const Json *j = resp.find(k);
-            return j && j->isNumber() ? j->asU64() : 0;
-        };
-        p.rows += acc("rows");
-        p.cached += acc("cached");
-        p.computed += acc("computed");
-        p.expired += acc("expired");
+        p.rows += *rows;
+        p.cached += *cached;
+        p.computed += *computed;
+        p.expired += *expired;
         if (part.state != Pending::Part::State::Done
             && part.state != Pending::Part::State::Failed) {
             part.state = Pending::Part::State::Done;
@@ -966,12 +1008,14 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
     if (ev == "reserved") {
         if (ref.kind != OpRef::Kind::Reserve)
             return;
+        std::optional<std::uint64_t> token =
+            peerU64(resp, "reservation", err);
+        if (!token)
+            return violation();
         ops_.erase(it);
         Pending &p = *ref.pending;
         Pending::Part &part = p.parts[ref.part];
-        const Json *tok = resp.find("reservation");
-        part.reservation =
-            tok && tok->isNumber() ? tok->asU64() : 0;
+        part.reservation = *token;
         if (p.failed) {
             // Too late — a sibling shard already said no. Hand the
             // slots straight back.
@@ -1052,13 +1096,19 @@ Router::handleWorkerLine(WorkerLink *w, const std::string &line)
     }
 
     if (ev == "stats") {
+        AdminFan *fan =
+            ref.kind == OpRef::Kind::Stats ? ref.fan : nullptr;
+        const Json *stats = resp.find("stats");
+        if (fan && stats
+            && !addExperimentCounts(fan->experiments, *stats, err))
+            return violation();
         ops_.erase(it);
-        if (ref.kind == OpRef::Kind::Stats && ref.fan) {
-            if (const Json *s = resp.find("stats"))
-                ref.fan->shards.set(w->name, *s);
-            if (ref.fan->outstanding > 0)
-                --ref.fan->outstanding;
-            finishFan(*ref.fan);
+        if (fan) {
+            if (stats)
+                fan->shards.set(w->name, *stats);
+            if (fan->outstanding > 0)
+                --fan->outstanding;
+            finishFan(*fan);
         }
         return;
     }
@@ -1106,28 +1156,12 @@ Router::finishFan(AdminFan &f)
             stats.set("router", routerStatsJson());
             // Cross-shard ResultCache visibility: per-experiment
             // hit/miss totals summed over every shard's answer.
-            std::map<std::string,
-                     std::pair<std::uint64_t, std::uint64_t>>
-                agg;
-            for (const auto &kv : f.shards.members()) {
-                const Json *exps = kv.second.find("experiments");
-                if (!exps || !exps->isObject())
-                    continue;
-                for (const auto &ekv : exps->members()) {
-                    const Json *h = ekv.second.find("hits");
-                    const Json *m = ekv.second.find("misses");
-                    auto &slot = agg[ekv.first];
-                    slot.first += h && h->isNumber() ? h->asU64() : 0;
-                    slot.second +=
-                        m && m->isNumber() ? m->asU64() : 0;
-                }
-            }
             Json exps = Json::object();
-            for (const auto &kv : agg) {
+            for (const auto &[name, counts] : f.experiments) {
                 Json e = Json::object();
-                e.set("hits", Json::number(kv.second.first));
-                e.set("misses", Json::number(kv.second.second));
-                exps.set(kv.first, std::move(e));
+                e.set("hits", Json::number(counts.first));
+                e.set("misses", Json::number(counts.second));
+                exps.set(name, std::move(e));
             }
             stats.set("experiments", std::move(exps));
             stats.set("shards", f.shards);

@@ -59,6 +59,18 @@ requestU64(const Json *j, const char *field, const char *kind_msg,
     return v;
 }
 
+std::optional<std::uint64_t>
+peerU64(const Json &frame, const char *key, std::string &err)
+{
+    const Json *j = frame.find(key);
+    if (!j || !j->isNumber())
+        return 0;
+    std::optional<std::uint64_t> v = integerValue<std::uint64_t>(*j);
+    if (!v)
+        err = std::string(key) + " is out of range";
+    return v;
+}
+
 namespace
 {
 
@@ -267,12 +279,16 @@ decodeRow(const Json &frame, SweepRow &out, std::string &err)
 {
     if (const Json *j = frame.find("unit"))
         out.unit = j->asString();
-    if (const Json *j = frame.find("seq"))
-        out.seq = j->asU64();
-    if (const Json *j = frame.find("trial"))
-        out.trial = j->asU64();
-    if (const Json *j = frame.find("seed"))
-        out.seed = j->asU64();
+    for (auto [key, field] : {std::pair{"seq", &out.seq},
+                              {"trial", &out.trial},
+                              {"seed", &out.seed}}) {
+        std::optional<std::uint64_t> v = peerU64(frame, key, err);
+        if (!v) {
+            err = "bad row: " + err;
+            return false;
+        }
+        *field = *v;
+    }
     if (const Json *j = frame.find("cached"))
         out.cached = j->asBool();
     if (const Json *j = frame.find("host_s"))

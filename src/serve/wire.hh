@@ -79,6 +79,17 @@ std::optional<std::uint64_t> requestU64(const Json *j, const char *field,
                                         const char *kind_msg,
                                         std::string &err);
 
+/**
+ * Member @p key of @p frame, a frame from a peer (a worker's reply
+ * at the router, a server's at the client), read through
+ * integerValue(): 0 when absent or not a number; nothing, with
+ * "<key> is out of range" in @p err, when it is a number that no
+ * u64 holds. The router cuts a worker link that sends one; the
+ * client fails the request with a bad frame.
+ */
+std::optional<std::uint64_t> peerU64(const Json &frame, const char *key,
+                                     std::string &err);
+
 /** One trial a request asks for. */
 struct Trial
 {
@@ -156,7 +167,8 @@ struct SweepRow
     RunOutcome outcome;
 };
 
-/** Decode a "row" frame; false + @p err on a malformed outcome. */
+/** Decode a "row" frame; false + @p err on a malformed outcome or
+ *  a seq, trial or seed that no u64 holds (see peerU64). */
 bool decodeRow(const Json &frame, SweepRow &out, std::string &err);
 
 // ---------------------------------------------------------------

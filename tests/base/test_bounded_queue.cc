@@ -98,6 +98,48 @@ TEST(BoundedQueue, CloseWakesBlockedConsumers)
     consumer.join();
 }
 
+TEST(BoundedQueue, PauseHoldsItemsUntilResume)
+{
+    // A consumer already blocked in pop() on a paused queue gets
+    // nothing when an item arrives, and gets it after resume().
+    BoundedQueue<int> q(4);
+    q.pause();
+    std::atomic<bool> took{false};
+    std::thread consumer([&] {
+        EXPECT_EQ(q.pop(), 7);
+        took.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(q.tryPush(7));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(took.load());
+    EXPECT_EQ(q.size(), 1u);
+    q.resume();
+    consumer.join();
+    EXPECT_TRUE(took.load());
+
+    // Closing a paused queue that still holds items does not end
+    // the drain: the consumer waits for resume(), then takes both
+    // items and sees end-of-stream.
+    ASSERT_TRUE(q.tryPushAll({1, 2}));
+    q.pause();
+    std::atomic<int> taken{0};
+    std::atomic<bool> ended{false};
+    std::thread drainer([&] {
+        while (q.pop())
+            taken.fetch_add(1);
+        ended.store(true);
+    });
+    q.close();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(taken.load(), 0);
+    EXPECT_FALSE(ended.load());
+    q.resume();
+    drainer.join();
+    EXPECT_EQ(taken.load(), 2);
+    EXPECT_TRUE(ended.load());
+}
+
 TEST(BoundedQueue, BlockingPushWaitsForSpace)
 {
     BoundedQueue<int> q(1);

@@ -1,55 +1,21 @@
-/** @file Unit tests for the thread pool and parallelFor. */
+/** @file Unit tests for parallelFor and the default worker count. */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <set>
+#include <thread>
 #include <vector>
 
-#include "base/numa.hh"
 #include "base/thread_pool.hh"
 
 namespace tw
 {
 namespace
 {
-
-TEST(ThreadPool, RunsEveryTask)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.run([&count] { ++count; });
-        pool.wait();
-        EXPECT_EQ(count.load(), 100);
-    }
-}
-
-TEST(ThreadPool, DestructorDrainsQueue)
-{
-    std::atomic<int> count{0};
-    {
-        ThreadPool pool(2);
-        for (int i = 0; i < 50; ++i)
-            pool.run([&count] { ++count; });
-        // No wait(): the destructor must still run everything queued.
-    }
-    EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPool, WaitIsReusable)
-{
-    std::atomic<int> count{0};
-    ThreadPool pool(3);
-    pool.run([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-    pool.run([&count] { ++count; });
-    pool.run([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 3);
-}
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce)
 {
@@ -86,6 +52,57 @@ TEST(ParallelFor, IndexOwnedWritesAreOrdered)
     EXPECT_EQ(serial, parallel);
 }
 
+TEST(ParallelFor, CallerIsOneOfTheWorkers)
+{
+    // A width-w call runs on the calling thread plus w-1 started
+    // ones: the body sees at most min(w, n) thread ids, and writes
+    // what a serial run writes.
+    auto fill = [](std::vector<std::uint64_t> &out) {
+        return [&out](std::uint64_t i) { out[i] = i * 7 + 3; };
+    };
+    for (unsigned width : {1u, 2u, 4u}) {
+        for (std::uint64_t n : {1u, 3u, 100u}) {
+            std::vector<std::thread::id> ids(n);
+            std::vector<std::uint64_t> serial(n), out(n);
+            parallelFor(n, fill(serial), 1);
+            parallelFor(
+                n,
+                [&](std::uint64_t i) {
+                    ids[i] = std::this_thread::get_id();
+                    fill(out)(i);
+                },
+                width);
+            std::set<std::thread::id> distinct(ids.begin(), ids.end());
+            EXPECT_LE(distinct.size(), std::min<std::uint64_t>(width, n))
+                << "width " << width << " n " << n;
+            EXPECT_EQ(out, serial) << "width " << width << " n " << n;
+        }
+
+        // With n == w and every body waiting until all w have
+        // started, each worker holds one index, so the caller holds
+        // one too.
+        std::atomic<unsigned> started{0};
+        std::vector<std::thread::id> ids(width);
+        parallelFor(
+            width,
+            [&](std::uint64_t i) {
+                ids[i] = std::this_thread::get_id();
+                started.fetch_add(1);
+                auto giveUp = std::chrono::steady_clock::now()
+                              + std::chrono::seconds(10);
+                while (started.load() < width
+                       && std::chrono::steady_clock::now() < giveUp)
+                    std::this_thread::yield();
+            },
+            width);
+        EXPECT_EQ(started.load(), width);
+        EXPECT_NE(std::find(ids.begin(), ids.end(),
+                            std::this_thread::get_id()),
+                  ids.end())
+            << "width " << width;
+    }
+}
+
 TEST(ParallelFor, DefaultWidthRespectsOverride)
 {
     const unsigned before = defaultThreads();
@@ -94,86 +111,6 @@ TEST(ParallelFor, DefaultWidthRespectsOverride)
     setDefaultThreads(0); // the hardware count
     EXPECT_EQ(defaultThreads(), hardwareThreads());
     setDefaultThreads(before); // what the test main set
-}
-
-/** Inject a fake multi-node topology for one test, restoring the
- *  host map after — lets a single-node CI box run the NUMA-sharded
- *  dispatch path for real. */
-class ScopedFakeTopology
-{
-  public:
-    explicit ScopedFakeTopology(numa::Topology topo)
-    {
-        numa::setTopologyForTest(std::move(topo));
-    }
-
-    ~ScopedFakeTopology() { numa::setTopologyForTest({}); }
-};
-
-TEST(ParallelForNuma, ShardedDispatchCoversEveryIndexOnce)
-{
-    // Two fake nodes splitting the host CPUs: parallelFor takes the
-    // shard-then-steal path. The exactly-once contract must hold
-    // regardless of which shard an index lands in or who steals it.
-    numa::Topology topo;
-    topo.nodeCpus = {{0}, {0}};
-    ScopedFakeTopology fake(std::move(topo));
-    ASSERT_EQ(numa::topology().nodes(), 2u);
-
-    for (unsigned threads : {2u, 3u, 4u, 8u}) {
-        std::vector<std::atomic<int>> hits(1003);
-        for (auto &h : hits)
-            h.store(0);
-        parallelFor(
-            hits.size(),
-            [&hits](std::uint64_t i) {
-                hits[i].fetch_add(1, std::memory_order_relaxed);
-            },
-            threads);
-        for (std::size_t i = 0; i < hits.size(); ++i)
-            EXPECT_EQ(hits[i].load(), 1)
-                << "index " << i << " threads " << threads;
-    }
-}
-
-TEST(ParallelForNuma, ImbalancedShardsDrainViaStealing)
-{
-    // Skewed node sizes with more workers than one node's share:
-    // finished workers must steal the remainder of the other shard
-    // rather than idle, and still never double-run an index.
-    numa::Topology topo;
-    topo.nodeCpus = {{0}, {0}, {0}};
-    ScopedFakeTopology fake(std::move(topo));
-
-    std::vector<std::atomic<int>> hits(97);
-    for (auto &h : hits)
-        h.store(0);
-    parallelFor(
-        hits.size(),
-        [&hits](std::uint64_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        },
-        4);
-    int total = 0;
-    for (auto &h : hits)
-        total += h.load();
-    EXPECT_EQ(total, 97);
-}
-
-TEST(ParallelForNuma, ShardedMatchesSerialBitForBit)
-{
-    numa::Topology topo;
-    topo.nodeCpus = {{0}, {0}};
-    ScopedFakeTopology fake(std::move(topo));
-
-    std::vector<std::uint64_t> serial(513), sharded(513);
-    parallelFor(serial.size(),
-                [&serial](std::uint64_t i) { serial[i] = i * 31 + 7; },
-                1);
-    parallelFor(
-        sharded.size(),
-        [&sharded](std::uint64_t i) { sharded[i] = i * 31 + 7; }, 6);
-    EXPECT_EQ(serial, sharded);
 }
 
 } // anonymous namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -111,9 +113,7 @@ TEST(Router, PooledSweepBitIdenticalAndSeqOrdered)
     Pool pool(3);
 
     RunSpec spec = smallSpec();
-    std::vector<std::uint64_t> seeds;
-    for (unsigned t = 0; t < 6; ++t)
-        seeds.push_back(mixSeed(1, 1000 + t));
+    std::vector<std::uint64_t> seeds = derivedTrialSeeds(6, 1);
 
     Client client;
     std::string err;
@@ -476,6 +476,126 @@ TEST(Router, UnrunnableSpecGetsBadRequest)
     }
     EXPECT_TRUE(client.ping(&err)) << err;
     EXPECT_EQ(pool.workers[0]->metrics().rowsComputed.value(), 0u);
+}
+
+/**
+ * A peer that answers with numbers no u64 holds. It speaks just
+ * enough of the worker-link protocol to sit in the ring: ping gets
+ * pong, and every reserve a reservation of 1e309. It counts the
+ * run_jobs commits it gets and answers them with an empty done, so a
+ * router that does commit finishes the request instead of hanging.
+ * A client's submit gets a done whose cached count is 1e309.
+ */
+struct OutOfRangeWorker
+{
+    std::string path = freshPath("f");
+    int listenFd = -1;
+    std::atomic<bool> stopping{false};
+    std::atomic<unsigned> runJobs{0};
+    std::thread thread;
+
+    OutOfRangeWorker()
+    {
+        std::string err;
+        listenFd = serve::listenUnixSocket(path, &err);
+        EXPECT_GE(listenFd, 0) << err;
+        thread = std::thread([this] { run(); });
+    }
+
+    /** Close the peer first (declare it after this): its EOF ends
+     *  run()'s read. */
+    ~OutOfRangeWorker()
+    {
+        stopping.store(true);
+        thread.join();
+        ::close(listenFd);
+        ::unlink(path.c_str());
+    }
+
+    void
+    run()
+    {
+        while (!stopping.load()) {
+            pollfd pfd{listenFd, POLLIN, 0};
+            if (::poll(&pfd, 1, 20) <= 0)
+                continue;
+            int fd = ::accept(listenFd, nullptr, nullptr);
+            if (fd < 0)
+                continue;
+            serve::LineReader reader(fd);
+            std::string line;
+            while (reader.readLine(line)
+                   == serve::LineReader::Status::Line) {
+                Json req;
+                Json::parse(line, req);
+                const Json *id = req.find("id");
+                const Json *op = req.find("op");
+                std::string name = op ? op->asString() : "";
+                std::string reply = "{\"id\":"
+                                    + (id ? id->lexeme() : "0")
+                                    + ",\"ev\":";
+                if (name == "ping") {
+                    reply += "\"pong\"}";
+                } else if (name == "reserve") {
+                    reply += "\"reserved\",\"reservation\":1e309}";
+                } else if (name == "submit") {
+                    reply += "\"done\",\"rows\":0,\"cached\":1e309,"
+                             "\"computed\":0,\"expired\":0}";
+                } else if (name == "run_jobs") {
+                    runJobs.fetch_add(1);
+                    reply += "\"done\",\"rows\":0,\"cached\":0,"
+                             "\"computed\":0,\"expired\":0}";
+                } else {
+                    reply += "\"ok\"}";
+                }
+                serve::sendLine(fd, reply);
+            }
+            ::close(fd);
+        }
+    }
+};
+
+TEST(Router, OutOfRangeWorkerNumberCutsTheLink)
+{
+    // A reservation token no u64 holds is a protocol violation: the
+    // router cuts the link, as for an unparsable line, and fails the
+    // request with shard_failed instead of committing run_jobs.
+    OutOfRangeWorker worker;
+    RouterConfig cfg;
+    cfg.socketPath = freshPath("r");
+    cfg.shards = {worker.path};
+    cfg.healthIntervalMs = 60000; // no reconnect during the test
+    Router router(cfg);
+    std::string err;
+    ASSERT_TRUE(router.start(&err)) << err;
+    for (int spins = 0; router.upShardCount() < 1 && spins < 200;
+         ++spins)
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ASSERT_EQ(router.upShardCount(), 1u);
+
+    Client client;
+    ASSERT_TRUE(client.connectUnix(cfg.socketPath, &err)) << err;
+    SweepResult res = client.submitSweep(smallSpec(), {1, 2}, false);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.errorCode, serve::kErrShardFailed) << res.errorMsg;
+    EXPECT_EQ(worker.runJobs.load(), 0u);
+    EXPECT_EQ(router.upShardCount(), 0u);
+
+    // The router itself keeps serving.
+    EXPECT_TRUE(client.ping(&err)) << err;
+    router.stop();
+}
+
+TEST(Client, OutOfRangeDoneCountIsABadFrame)
+{
+    OutOfRangeWorker server;
+    Client client;
+    std::string err;
+    ASSERT_TRUE(client.connectUnix(server.path, &err)) << err;
+    SweepResult res = client.submitSweep(smallSpec(), {1}, false);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.errorMsg,
+              "bad frame from server: cached is out of range");
 }
 
 TEST(Router, EmptyRingRejectsInsteadOfHanging)

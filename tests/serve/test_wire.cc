@@ -262,6 +262,21 @@ TEST(Wire, RowFramesRoundTripThroughDecodeRow)
     back = SweepRow{};
     ASSERT_TRUE(decodeRow(row, back, err)) << err;
     EXPECT_TRUE(back.expired);
+
+    // A seq, trial or seed that no u64 holds makes a bad row that
+    // names the field, instead of a cast with undefined behaviour.
+    for (const char *field : {"seq", "trial", "seed"}) {
+        for (const char *lexeme : {"1e309", "1e20",
+                                   "18446744073709551616", "-1"}) {
+            row = rowFrame(1, "smoke", t, false, &outcome);
+            row.set(field, Json::numberLexeme(lexeme));
+            back = SweepRow{};
+            EXPECT_FALSE(decodeRow(row, back, err)) << row.dump();
+            EXPECT_EQ(err, std::string("bad row: ") + field
+                               + " is out of range")
+                << row.dump();
+        }
+    }
 }
 
 } // namespace

@@ -119,9 +119,9 @@ usage(std::FILE *out)
         "with an optional K or M suffix.\n\n"
         "exit status: 0 ok; 1 usage/transport; 2 server rejected "
         "(the\ncode — e.g. 'overloaded' — is printed to "
-        "stderr), a\nmalformed number, a name outside a flag's "
-        "list, or a spec\nthe strict spec reader refuses (e.g. a "
-        "line below 16 bytes).\n");
+        "stderr), a\nmalformed number, an unknown option, a name "
+        "outside a flag's\nlist, or a spec the strict spec reader "
+        "refuses (e.g. a line\nbelow 16 bytes).\n");
 }
 
 struct SweepArgs
@@ -307,8 +307,7 @@ main(int argc, char **argv)
         } else if (arg == "--vnodes") {
             poolVnodes = flags.positive(arg, value());
         } else if (!arg.empty() && arg[0] == '-') {
-            usage(stderr);
-            fatal("unknown option '%s'", arg.c_str());
+            flags.refuse("unknown option '" + arg + "'");
         } else if (command.empty()) {
             command = arg;
         } else if (command == "trace-lint" && traceFile.empty()) {
@@ -338,10 +337,7 @@ main(int argc, char **argv)
             at = comma + 1;
         }
     } else {
-        // Exactly runTrials()'s derivation: trial t gets
-        // mixSeed(base, 1000 + t).
-        for (unsigned t = 0; t < trials; ++t)
-            sweep.seeds.push_back(mixSeed(seed, 1000 + t));
+        sweep.seeds = derivedTrialSeeds(trials, seed);
     }
 
     auto connect = [&](Client &c, std::string &why) {

@@ -96,7 +96,7 @@ usage(std::FILE *out)
         "exits 0)\nor with `twctl shutdown`.\n\n"
         "N is a positive integer, MS one too (--send-timeout also "
         "takes 0)\nand PORT one below 65536; anything else exits "
-        "2.\n");
+        "2, as does an\nunknown option.\n");
 }
 
 } // namespace
@@ -155,8 +155,7 @@ main(int argc, char **argv)
         } else if (arg == "--quiet") {
             cfg.verbose = false;
         } else {
-            usage(stderr);
-            fatal("unknown option '%s'", arg.c_str());
+            flags.refuse("unknown option '" + arg + "'");
         }
     }
     if (cfg.socketPath.empty()) {
