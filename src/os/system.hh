@@ -199,7 +199,8 @@ class System
     void stepFast(Task &task);
     void dataStepFast(Task &task);
     Counter runBatch(Task &task, Counter h);
-    template <bool kDataTraps> Counter runInner(Task &task, Counter h);
+    Counter runChunked(Task &task, Counter h);
+    Counter runFiltered(Task &task, Counter h);
     Counter runObserved(Task &task, Counter h);
     Counter clockHorizon() const;
     void runSliceFast(Task &task);
@@ -242,7 +243,7 @@ class System
     TrapFilterView filter_{};
     bool hasFilter_ = false;
     /** The filter can deliver data references (Load or Store in its
-     *  kind mask): runBatch takes runInner<true>. */
+     *  kind mask): runBatch takes runFiltered, else runChunked. */
     bool dataTraps_ = false;
     /** Translation cache for the clock handler's references, which
      *  would otherwise thrash the kernel task's fetch entry. */
@@ -253,6 +254,8 @@ class System
     // the end of run() — the reference hot paths never touch shared
     // state for these.
     Counter obsRefsChunked_ = 0;
+    /** Run pieces runChunked took (engine.runs.chunked). */
+    Counter obsRunsChunked_ = 0;
     Counter obsRefsFiltered_ = 0;
     Counter obsRefsObserved_ = 0;
     Counter obsProbeHits_ = 0;
