@@ -482,6 +482,20 @@ afterRead(SystemConfig &s)
     // A zero quantum runs no instruction, so the run never ends.
     if (s.quantumInstr == 0)
         return "'quantumInstr' must be >= 1";
+    // PhysMem keeps a trap bit per granule and asserts on a size that
+    // is not whole granules; the frame allocator asserts when the
+    // reservation leaves no frame to hand out.
+    if (s.physMemBytes % kTrapGranuleBytes != 0)
+        return csprintf("'physMemBytes' %llu is not a multiple of the "
+                        "%u-byte trap granule",
+                        static_cast<unsigned long long>(s.physMemBytes),
+                        kTrapGranuleBytes);
+    if (s.physMemBytes / kHostPageBytes <= s.reservedFrames)
+        return csprintf("'physMemBytes' %llu leaves no frame past "
+                        "'reservedFrames' (%llu)",
+                        static_cast<unsigned long long>(s.physMemBytes),
+                        static_cast<unsigned long long>(
+                            s.reservedFrames));
     return {};
 }
 
