@@ -250,22 +250,6 @@ class BoundedQueue
         return out;
     }
 
-    /** Non-blocking take; nullopt when empty. Ignores pause(). */
-    std::optional<T>
-    tryPop()
-    {
-        std::optional<T> out;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (items_.empty())
-                return std::nullopt;
-            out.emplace(std::move(items_.front()));
-            items_.pop_front();
-        }
-        spaceReady_.notify_one();
-        return out;
-    }
-
     /** Hold every item until resume(): pop() takes none meanwhile
      *  (see file comment). */
     void
