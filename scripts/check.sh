@@ -22,22 +22,27 @@ TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# AddressSanitizer pass over the engine: the fast loop consumes the
-# prefetch buffers by pointer and rewinds the fetch pointer when a
-# data ref faults or is delivered mid-chunk, and the integration
-# suite (FastPath included), the OS model and the simulator core
-# drive every such path. The serve and shard suites ride along: the
-# wire codec, the line readers and the router's nonblocking buffers
-# are parsing and buffer code fed straight from sockets. So does the
+# AddressSanitizer pass over the engine: the data-delivering loop
+# consumes the prefetch buffers by pointer and rewinds the fetch
+# pointer when a data ref faults or is delivered mid-chunk, the
+# fetch-only loop cuts a run piece back the same way and scans only
+# the trap-bitmap words a piece covers, and the integration suite
+# (FastPath included), the OS model and the simulator core drive
+# every such path. The workload suite walks every suite stream's
+# runs against its address batches. The serve and shard suites ride
+# along: the wire codec, the line readers and the router's
+# nonblocking buffers are parsing and buffer code fed straight from
+# sockets. So does the
 # spec reader, which parses request bytes straight off a socket: the
 # spec suites, the seeded mutation of canonical text and the
 # registry-wide round trip run under both sanitizers.
 SPEC_SUITES='SpecIo.*:SpecMutation.*:ExperimentRegistry.*'
 cmake -B build-asan -G Ninja -DTW_SANITIZE=address
 cmake --build build-asan --target test_integration test_os test_core \
-    test_serve test_shard test_harness
+    test_serve test_shard test_harness test_workload
 ./build-asan/tests/test_integration
 ./build-asan/tests/test_os
+./build-asan/tests/test_workload
 ./build-asan/tests/test_core
 ./build-asan/tests/test_serve
 ./build-asan/tests/test_shard
@@ -45,18 +50,20 @@ cmake --build build-asan --target test_integration test_os test_core \
 
 # UndefinedBehaviorSanitizer pass over the same engine suites plus
 # the memory model, the spec suites and the serve and shard suites:
-# the loop's pointer rewinds, its shifts by the trap granule, the
-# cache's index arithmetic and the number conversions of the spec
-# reader, the wire and the router's worker links (a fake worker
+# the loops' pointer rewinds, their shifts by the trap granule, the
+# streams' run arithmetic, the cache's index arithmetic and the
+# number conversions of the spec reader, the wire and the router's
+# worker links (a fake worker
 # answers with a number no u64 holds) are where undefined behaviour
 # would hide (the build adds float-cast-overflow, which GCC's
 # undefined group leaves out). Any report stops the test binary
 # (-fno-sanitize-recover), so the step fails.
 cmake -B build-ubsan -G Ninja -DTW_SANITIZE=undefined
 cmake --build build-ubsan --target test_integration test_os test_core \
-    test_mem test_harness test_serve test_shard
+    test_mem test_harness test_serve test_shard test_workload
 ./build-ubsan/tests/test_integration
 ./build-ubsan/tests/test_os
+./build-ubsan/tests/test_workload
 ./build-ubsan/tests/test_core
 ./build-ubsan/tests/test_mem
 ./build-ubsan/tests/test_harness --gtest_filter="$SPEC_SUITES"
@@ -79,7 +86,7 @@ TW_THREADS=4 ./build-tsan/tests/test_harness \
 TW_THREADS=4 ./build-tsan/tests/test_harness \
     --gtest_filter='AdaptiveTrials.*:ExperimentAdaptive.*'
 TW_THREADS=4 ./build-tsan/tests/test_base \
-    --gtest_filter='ParallelFor.*:BoundedQueue.*'
+    --gtest_filter='ParallelFor.*:BoundedQueue*.*'
 # The SIMD span scans and per-worker arenas are new shared state on
 # the trial hot path: prove the dispatch pointers, the granule
 # bitmaps under concurrent scans, and the thread-local arena

@@ -66,6 +66,8 @@ grep -q 'engine\.simd\.wide_spans' "$BENCH" \
     || fail "BENCH metrics block lacks engine.simd.wide_spans"
 grep -q 'engine\.simd\.scalar_tail' "$BENCH" \
     || fail "BENCH metrics block lacks engine.simd.scalar_tail"
+grep -q 'engine\.runs\.chunked' "$BENCH" \
+    || fail "BENCH metrics block lacks engine.runs.chunked"
 grep -q 'engine\.arena\.bytes_reserved' "$BENCH" \
     || fail "BENCH metrics block lacks engine.arena.bytes_reserved"
 grep -q 'engine\.arena\.trials_served' "$BENCH" \
@@ -77,6 +79,12 @@ trials=$(grep -oE '"engine\.arena\.trials_served"[: ]+[0-9.]+' "$BENCH" \
     | grep -oE '[0-9.]+$')
 [ -n "$trials" ] && [ "$(awk -v t="$trials" 'BEGIN { print (t > 0) }')" = 1 ] \
     || fail "engine.arena.trials_served is '$trials' — trials bypassed the arena"
+# fig2's I-cache runs take the fetch-only loop, which counts the run
+# pieces it takes.
+pieces=$(grep -oE '"engine\.runs\.chunked"[: ]+[0-9.]+' "$BENCH" \
+    | grep -oE '[0-9.]+$')
+[ -n "$pieces" ] && [ "$(awk -v p="$pieces" 'BEGIN { print (p > 0) }')" = 1 ] \
+    || fail "engine.runs.chunked is '$pieces' — no run pieces counted"
 # Every trial the experiment engine dispatches must tick trials.run
 # (the sampling subsystem's adaptive stopping reads the same
 # counter, so a sweep that bypasses it would hide early stops).

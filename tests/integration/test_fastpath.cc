@@ -172,18 +172,29 @@ TEST(FastPath, BitIdenticalLargeCache)
     // an I-cache (the fetch-only span loop) and once as a unified
     // cache (the data-delivering one).
     //
-    // A loop that stops skipping clear pages still gives the same
-    // rows, only slower, so the single probes it made
-    // (engine.probe.hits) are held to a share of the trial's refs.
-    // The count is exact: it does not depend on the host, the thread
-    // count or the SIMD level. When the bounds were set the shares
-    // were 0.170 and 0.391; with the page-span scans off they are
-    // 0.222 and 0.491.
+    // A loop that stops skipping clear pages or runs still gives the
+    // same rows, only slower, so two exact counts hold the loops.
+    // Neither depends on the host, the thread count or the SIMD
+    // level.
+    //
+    // The single probes (engine.probe.hits) are held to a share of
+    // the trial's refs. On the unified cache (the data-delivering
+    // loop) the share was 0.391 when the bound was set, and 0.491
+    // with the page-span scans off. On the I-cache (the fetch-only
+    // loop) a single probe is a fetch at a set granule bit, the rest
+    // of a run piece being scanned in bulk: the share reads 0.041.
+    //
+    // The fetch-only loop's run pieces (engine.runs.chunked) are held
+    // to a floor of refs per piece. It reads 10.98 here, where cold
+    // misses cut many pieces short; a loop that took a piece one word
+    // at a time would read about 1.3.
     const std::pair<SimCacheKind, double> kInputs[] = {
-        {SimCacheKind::Instruction, 0.19},
+        {SimCacheKind::Instruction, 0.05},
         {SimCacheKind::Unified, 0.43},
     };
+    constexpr double kMinRefsPerPiece = 10.0;
     obs::Counter probes = obs::registry().counter("engine.probe.hits");
+    obs::Counter pieces = obs::registry().counter("engine.runs.chunked");
     for (const auto &[kind, max_share] : kInputs) {
         RunSpec spec = baseSpec();
         spec.sys.scope = SimScope::all();
@@ -191,8 +202,12 @@ TEST(FastPath, BitIdenticalLargeCache)
         spec.tw.cache =
             CacheConfig::icache(1024 * 1024, 16, 1, Indexing::Virtual);
         const std::uint64_t probes0 = probes.value();
+        const std::uint64_t pieces0 = pieces.value();
+        const LoopRefs before = loopRefs();
         CacheRun fast = runCache(spec, 23, false);
         const std::uint64_t probed = probes.value() - probes0;
+        const std::uint64_t took = pieces.value() - pieces0;
+        const std::uint64_t chunked = loopRefsSince(before).chunked;
         CacheRun slow = runCache(spec, 23, true);
         expectSameRun(fast.run, slow.run);
         expectSameStats(fast.stats, slow.stats);
@@ -201,6 +216,13 @@ TEST(FastPath, BitIdenticalLargeCache)
         EXPECT_LT(static_cast<double>(probed), max_share * refs)
             << simCacheKindName(kind) << ": " << probed
             << " single probes over " << refs << " refs";
+        if (kind == SimCacheKind::Instruction) {
+            EXPECT_GT(static_cast<double>(chunked),
+                      kMinRefsPerPiece * static_cast<double>(took))
+                << chunked << " refs in " << took << " run pieces";
+        } else {
+            EXPECT_EQ(took, 0u);
+        }
     }
 }
 

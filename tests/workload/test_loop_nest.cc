@@ -4,7 +4,9 @@
 
 #include "mem/cache.hh"
 #include "mem/stack_sim.hh"
+#include "workload/fragmenting.hh"
 #include "workload/loop_nest.hh"
+#include "workload/spec.hh"
 
 namespace tw
 {
@@ -116,6 +118,111 @@ TEST(LoopNest, CloneIsIndependentCopy)
     for (int i = 0; i < 1100; ++i)
         s.next();
     EXPECT_EQ(resync, s.next());
+}
+
+/** Expand @p s's runs (nextRun) word by word against @p want, and
+ *  check that every run has a word and stays inside the text. Returns
+ *  where each run started in @p want. */
+std::vector<std::size_t>
+expectRunsExpandTo(RefStream &s, const std::vector<Addr> &want)
+{
+    std::vector<std::size_t> starts;
+    const Addr text_end = s.textBase() + s.textBytes();
+    Addr a = 0;
+    Counter left = 0;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (left == 0) {
+            left = s.nextRun(a);
+            starts.push_back(i);
+            EXPECT_GE(left, 1u);
+            EXPECT_GE(a, s.textBase());
+            EXPECT_LE(a + left * kWordBytes, text_end);
+        }
+        if (a != want[i]) {
+            ADD_FAILURE() << "ref " << i << ": run word " << a
+                          << ", nextBatch " << want[i];
+            break;
+        }
+        a += kWordBytes;
+        --left;
+    }
+    return starts;
+}
+
+/** The first @p n addresses of a fresh stream, reset to @p seed,
+ *  through nextBatch. */
+std::vector<Addr>
+batchSequence(const StreamParams &p, std::uint64_t seed, std::size_t n)
+{
+    LoopNestStream s(p);
+    s.reset(seed);
+    std::vector<Addr> out(n);
+    for (std::size_t i = 0; i < n; i += 4096) {
+        s.nextBatch(out.data() + i,
+                    static_cast<unsigned>(std::min<std::size_t>(
+                        4096, n - i)));
+    }
+    return out;
+}
+
+TEST(LoopNest, RunsExpandToNextBatch)
+{
+    // nextRun walks the state machine of next() and nextBatch() and
+    // makes the same RNG draws in the same order, so from one seed
+    // its runs expand word for word into nextBatch's sequence — on
+    // every text and data stream of the suite, and from a clone or a
+    // reset taken in the middle of a run.
+    std::vector<StreamParams> streams;
+    for (const std::string &name : suiteNames()) {
+        WorkloadSpec w = makeWorkload(name);
+        streams.insert(streams.end(), w.binaries.begin(),
+                       w.binaries.end());
+        streams.insert(streams.end(), w.binaryData.begin(),
+                       w.binaryData.end());
+        for (const StreamParams *p : {&w.kernelText, &w.bsdText,
+                                      &w.xText, &w.kernelData,
+                                      &w.bsdData, &w.xData})
+            streams.push_back(*p);
+    }
+    ASSERT_GE(streams.size(), 8u * suiteNames().size());
+
+    constexpr std::size_t kRefs = 1 << 20;
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+        SCOPED_TRACE(k);
+        const StreamParams &p = streams[k];
+        const std::vector<Addr> want = batchSequence(p, p.seed, kRefs);
+        LoopNestStream runs(p);
+        std::vector<std::size_t> starts = expectRunsExpandTo(runs, want);
+        ASSERT_FALSE(HasFailure());
+
+        // Stand one word into a run of two or more words.
+        std::size_t mid = 0;
+        for (std::size_t r = 1; r + 1 < starts.size() && mid == 0; ++r) {
+            if (starts[r + 1] - starts[r] >= 2 && starts[r] >= kRefs / 2)
+                mid = starts[r] + 1;
+        }
+        ASSERT_NE(mid, 0u);
+        LoopNestStream s(p);
+        for (std::size_t i = 0; i < mid; ++i)
+            s.next();
+        std::unique_ptr<RefStream> copy = s.clone();
+        expectRunsExpandTo(
+            *copy, std::vector<Addr>(want.begin() + mid, want.end()));
+
+        s.reset(p.seed + 1);
+        expectRunsExpandTo(s, batchSequence(p, p.seed + 1, kRefs));
+        ASSERT_FALSE(HasFailure());
+    }
+
+    // A stream without run structure hands out one-word runs, the
+    // words of next().
+    FragmentingParams fp;
+    FragmentingStream frag(fp), words(fp);
+    for (int i = 0; i < 10000; ++i) {
+        Addr a = 0;
+        ASSERT_EQ(frag.nextRun(a), 1u);
+        ASSERT_EQ(a, words.next()) << "ref " << i;
+    }
 }
 
 TEST(LoopNest, WrapsForever)
