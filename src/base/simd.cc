@@ -26,22 +26,13 @@ anyBitsScalar(const std::uint64_t *words, std::uint64_t first,
     return acc != 0;
 }
 
-std::size_t
-spanScalar(const Addr *p, const Addr *end, Addr page_mask, Addr page)
-{
-    const Addr *q = p;
-    while (q != end && (*q & page_mask) == page)
-        ++q;
-    return static_cast<std::size_t>(q - p);
-}
-
 #if TW_SIMD_X86
 
 // ---- AVX2: 32-byte blocks, scalar tails --------------------------
 //
 // Tails run scalar rather than via overlapping loads: exporters like
 // TapewormTlb hand us unpadded vectors, so a scan must never touch a
-// byte outside [first, last] / [p, end).
+// word outside [first, last].
 
 __attribute__((target("avx2"))) bool
 anyBitsAvx2(const std::uint64_t *words, std::uint64_t first,
@@ -63,36 +54,6 @@ anyBitsAvx2(const std::uint64_t *words, std::uint64_t first,
     while (n--)
         tail |= words[w++];
     return tail != 0;
-}
-
-__attribute__((target("avx2"))) std::size_t
-spanAvx2(const Addr *p, const Addr *end, Addr page_mask, Addr page)
-{
-    const Addr *q = p;
-    std::size_t n = static_cast<std::size_t>(end - p);
-    const __m256i vmask = _mm256_set1_epi64x(
-        static_cast<long long>(page_mask));
-    const __m256i vpage = _mm256_set1_epi64x(
-        static_cast<long long>(page));
-    while (n >= 4) {
-        __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(q));
-        __m256i eq = _mm256_cmpeq_epi64(
-            _mm256_and_si256(v, vmask), vpage);
-        int lanes = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-        if (lanes != 0xf) {
-            return static_cast<std::size_t>(q - p)
-                   + static_cast<std::size_t>(
-                       __builtin_ctz(~static_cast<unsigned>(lanes)));
-        }
-        q += 4;
-        n -= 4;
-    }
-    while (n && (*q & page_mask) == page) {
-        ++q;
-        --n;
-    }
-    return static_cast<std::size_t>(q - p);
 }
 
 // ---- AVX-512: 64-byte blocks, masked tails -----------------------
@@ -119,42 +80,6 @@ anyBitsAvx512(const std::uint64_t *words, std::uint64_t first,
     return false;
 }
 
-__attribute__((target("avx512f"))) std::size_t
-spanAvx512(const Addr *p, const Addr *end, Addr page_mask, Addr page)
-{
-    const Addr *q = p;
-    std::size_t n = static_cast<std::size_t>(end - p);
-    const __m512i vmask = _mm512_set1_epi64(
-        static_cast<long long>(page_mask));
-    const __m512i vpage = _mm512_set1_epi64(
-        static_cast<long long>(page));
-    while (n >= 8) {
-        __m512i v = _mm512_loadu_si512(q);
-        __mmask8 ne = _mm512_cmpneq_epu64_mask(
-            _mm512_and_si512(v, vmask), vpage);
-        if (ne) {
-            return static_cast<std::size_t>(q - p)
-                   + static_cast<std::size_t>(__builtin_ctz(ne));
-        }
-        q += 8;
-        n -= 8;
-    }
-    if (n) {
-        __mmask8 k = static_cast<__mmask8>((1u << n) - 1u);
-        __m512i v = _mm512_maskz_loadu_epi64(k, q);
-        // Masked-off lanes load as 0; force them to "match" so only
-        // real mismatches terminate the span.
-        __mmask8 ne = static_cast<__mmask8>(
-            _mm512_mask_cmpneq_epu64_mask(
-                k, _mm512_and_si512(v, vmask), vpage));
-        std::size_t hit = ne ? static_cast<std::size_t>(
-                               __builtin_ctz(ne))
-                             : n;
-        return static_cast<std::size_t>(q - p) + hit;
-    }
-    return static_cast<std::size_t>(q - p);
-}
-
 #endif // TW_SIMD_X86
 
 Level
@@ -179,18 +104,15 @@ install(Level level)
       case Level::Avx512:
         detail::anyBitsFn.store(&anyBitsAvx512,
                                 std::memory_order_relaxed);
-        detail::spanFn.store(&spanAvx512, std::memory_order_relaxed);
         break;
       case Level::Avx2:
         detail::anyBitsFn.store(&anyBitsAvx2,
                                 std::memory_order_relaxed);
-        detail::spanFn.store(&spanAvx2, std::memory_order_relaxed);
         break;
 #endif
       default:
         detail::anyBitsFn.store(&anyBitsScalar,
                                 std::memory_order_relaxed);
-        detail::spanFn.store(&spanScalar, std::memory_order_relaxed);
         break;
     }
 }
@@ -210,7 +132,6 @@ namespace detail
 {
 
 std::atomic<AnyBitsFn> anyBitsFn{&anyBitsScalar};
-std::atomic<SpanFn> spanFn{&spanScalar};
 
 } // namespace detail
 

@@ -1,22 +1,17 @@
 /**
  * @file
- * Runtime-dispatched wide scans for the trap-filter hot paths.
+ * A runtime-dispatched wide scan for the trap-filter hot path.
  *
- * Two primitive scans sit under the engine's inner loops:
+ * anyBitsInWords() answers whether any bit is set in an inclusive
+ * word range of a granule bitmap. It is the span loop's page-span
+ * trap probe: the all-zero test that lets a run piece on a clear page
+ * be accounted in bulk, with no per-reference probe.
  *
- *  - anyBitsInWords(): is any bit set in an inclusive word range of
- *    a granule bitmap? This is the page-span trap probe — the
- *    all-zero test that lets the inner loop skip the per-reference
- *    probe (and the physical address that feeds it) on clear pages.
- *  - samePageSpan(): how many leading addresses of a prefetch
- *    buffer fall on one page? This bounds the probe-free chunk the
- *    inner loop consumes with bulk accounting.
- *
- * Both have three implementations — AVX-512 (vptestnm-style 64-byte
+ * It has three implementations — AVX-512 (vptestnm-style 64-byte
  * blocks), AVX2 (vptest-style 32-byte blocks), and a portable
  * std::uint64_t-word loop — selected once per process by CPUID.
- * Every implementation computes the EXACT same answer (scans never
- * read outside the given range, tails are masked or handled
+ * Every implementation computes the EXACT same answer (a scan never
+ * reads outside the given range, tails are masked or handled
  * scalar), so results are bit-identical across hosts and dispatch
  * levels; only the host cycle count changes.
  *
@@ -32,10 +27,7 @@
 #define TW_BASE_SIMD_HH
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
-
-#include "base/types.hh"
 
 namespace tw
 {
@@ -81,11 +73,8 @@ namespace detail
 
 using AnyBitsFn = bool (*)(const std::uint64_t *, std::uint64_t,
                            std::uint64_t);
-using SpanFn = std::size_t (*)(const Addr *, const Addr *, Addr,
-                               Addr);
 
 extern std::atomic<AnyBitsFn> anyBitsFn;
-extern std::atomic<SpanFn> spanFn;
 
 } // namespace detail
 
@@ -100,19 +89,6 @@ anyBitsInWords(const std::uint64_t *words, std::uint64_t first,
 {
     return detail::anyBitsFn.load(std::memory_order_relaxed)(
         words, first, last);
-}
-
-/**
- * Number of leading entries of [p, end) with (x & page_mask) ==
- * page. Exactly equivalent to the obvious scalar scan; never reads
- * at or past @p end.
- */
-inline std::size_t
-samePageSpan(const Addr *p, const Addr *end, Addr page_mask,
-             Addr page)
-{
-    return detail::spanFn.load(std::memory_order_relaxed)(
-        p, end, page_mask, page);
 }
 
 } // namespace simd

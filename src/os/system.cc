@@ -246,7 +246,7 @@ System::step(Task &task)
 void
 System::dataStepFast(Task &task)
 {
-    Addr va = task.nextData();
+    Addr va = task.dataRun.take(*task.dataStream);
     Addr pa = translateFast(task, va, task.dtlb);
     ++task.dataRefCount;
     AccessKind kind = task.dataRefCount % spec_.storeEvery == 0
@@ -263,11 +263,11 @@ void
 System::stepFast(Task &task)
 {
     // step() with its three per-reference costs removed: the stream
-    // is consumed a run at a time (Task::nextFetch), the translation
+    // is consumed a run at a time (Task::fetchRun), the translation
     // through a last-page cache, and the client is called only when
     // its trap filter says the reference might miss — the software
     // analogue of the paper's "hits run at full hardware speed".
-    Addr va = task.nextFetch();
+    Addr va = task.fetchRun.take(*task.stream);
     Addr pa = translateFast(task, va, task.itlb);
     cycles_ += cfg_.cpiBase;
     ++result_.instr[static_cast<unsigned>(task.component)];
@@ -291,13 +291,11 @@ namespace
 {
 
 /**
- * Any trap bit set in the host page starting at @p pa_base? Tests
- * the filter words covering the page with one wide all-zero scan
- * (simd::anyBitsInWords — AVX-512/AVX2 vptest-style blocks, scalar
- * word loop when wide scans are off) — when a word overhangs the page
- * (granule words wider than a page) neighbouring pages' bits leak in
- * and the answer is conservatively true, which only costs a per-ref
- * probe, never a missed trap.
+ * Any trap bit set in the host page starting at @p pa_base? One wide
+ * all-zero scan of the filter words covering the page. Where a word
+ * overhangs the page (granules wider than a page), neighbouring
+ * pages' bits leak in and the answer is conservatively true, which
+ * costs per-ref probes, never a missed trap.
  */
 inline bool
 pageSpanTrapped(const std::uint64_t *bits, unsigned shift,
@@ -348,62 +346,37 @@ System::runBatch(Task &task, Counter h)
     // A client without a trap filter must observe every reference.
     if (client_ && !hasFilter_)
         return runObserved(task, h);
-    return dataTraps_ ? runFiltered(task, h) : runChunked(task, h);
+    return dataTraps_ ? runSpans<true>(task, h) : runSpans<false>(task, h);
 }
 
+template <bool DataTraps>
 Counter
-System::runChunked(Task &task, Counter h)
+System::runSpans(Task &task, Counter h)
 {
-    // The event horizon: the caller guarantees no tick, syscall,
-    // budget or quantum boundary falls within the next h
-    // instructions PROVIDED each costs exactly cpiBase. A step that
-    // charges extra cycles (a page fault or a simulated miss) may
-    // have moved the tick boundary. That step is a settle point:
-    // the call settles there exactly what its exit settles, so a
-    // later miss reads the same cycle count through bindClock as it
-    // would at the start of a new call, and takes the horizon the
-    // caller would compute next. Quantum, budget and syscall are
-    // instruction countdowns, so an unmasked caller would compute
-    // min(left, clockHorizon()); a masked burst never checks the
-    // clock, so its caller would compute left itself. The call goes
-    // on with that horizon, or returns when it is 0.
+    // The span loop; DESIGN.md §8 gives the argument in full. The
+    // caller guarantees no tick, syscall, budget or quantum boundary
+    // within the next h instructions PROVIDED each costs exactly
+    // cpiBase. A step that charges extra cycles (a fault or a miss) is
+    // a settle point: the call settles there what its exit settles, so
+    // a later miss reads the cycle count a new call would, and goes on
+    // with the horizon its caller would compute next (left itself in a
+    // masked burst). Between settle points all bookkeeping lives in
+    // locals, which no out-of-line path (stream refill, page-table
+    // walk, miss handler) reads.
     //
-    // All per-step bookkeeping lives in locals and is settled only
-    // at those points. The out-of-line paths a step can take —
-    // stream refill, page-table walk, client miss handler — never
-    // read the deferred counters or the task's stream positions and
-    // micro-TLBs (mappings only grow, and unmap paths flush between
-    // slices), so keeping them in registers is invisible; only the
-    // hot path's cost changes.
-    //
-    // This loop runs when the filter delivers fetches only (an
-    // icache Tapeworm) or there is no client at all, so a data ref
-    // can do nothing observable but fault its page in. Fetches come
-    // from the stream a sequential run at a time (RefStream::nextRun)
-    // and are never written out: the loop takes a run a piece at a
-    // time, a piece being the run's words on one page, cut short by
-    // the horizon or by a pending fault charge. A piece costs one
-    // page-table lookup and one page-span trap scan when it enters a
-    // new page. On a page without trap bits it is accounted in bulk.
-    // On a trapped page one scan of the piece's granule bits bounds
-    // the bulk part before the first set bit; the fetch at that bit
-    // is an exact step, and the scan runs again after it. The
-    // piece's data refs then drain in their exact order, from the
-    // data stream's runs in pieces of their own. A data ref that
-    // faults mid-piece must not see the piece's later fetches as
-    // done: the piece is cut back to the ref's owning step — its
-    // fetches were probe-free, so nothing but the count is undone —
-    // that step's remaining data refs finish exactly, and the loop
-    // resumes (or settles) where the per-step path would. The fetch
-    // cursor moves only once the piece's data refs have drained.
-    TW_ASSERT(task.fetchBuf.empty() && task.dataBuf.empty(),
-              "only the data-delivering loop fills a buffer");
+    // Fetches come a run piece at a time, and a piece's data refs
+    // drain after it in data pieces. Trap bits change only inside a
+    // client call or a fault: a fetch fault or delivery drops a data
+    // page cached as clear, and an observable data ref cuts the piece
+    // back to its owning step (the steps past it were probe-free) and
+    // drops the fetch page.
     SimClient *const cl = client_;
     const unsigned fshift = filter_.shift;
     const std::uint64_t *const fetch_bits =
         (hasFilter_ && filter_.wants(AccessKind::Fetch))
             ? filter_.bits
             : nullptr;
+    const std::uint64_t *const data_bits = filter_.bits;
     const Addr off = kHostPageBytes - 1;
     const bool masked = intrMasked_;
 
@@ -417,9 +390,11 @@ System::runChunked(Task &task, Counter h)
     const Addr vaBase = task.pageTable.vaBase();
     const Pfn *const frames = task.pageTable.framesData();
     Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    // The data page known to be mapped.
-    Addr dvaPage = kInvalidAddr;
+    // The data page known to be mapped; under DataTraps, dprobe says
+    // it carries trap bits, so its refs are probed singly.
+    Addr dvaPage = kInvalidAddr, dpaBase = 0;
     bool fprobe = false;
+    bool dprobe = false;
     Counter credit = task.dataRefCredit;
 
     Counter steps = 0;
@@ -427,27 +402,74 @@ System::runChunked(Task &task, Counter h)
     Counter probed = 0;
     Counter span_ops = 0;
     Counter pieces = 0;
+    // Data refs taken so far toward the current piece's owed ones.
+    Counter drained = 0;
     Counter settled = 0;
     Counter left = h;
     // The current step charged cycles: it ends at a settle point.
     bool stop_after = false;
 
-    // One data ref in exact per-step order: a page-table lookup when
-    // it leaves the page known to be mapped, and a fault if its page
-    // is not mapped. Returns whether it faulted, the one observable
-    // thing a data ref can do here.
-    auto dataRef = [&](Addr dva) __attribute__((always_inline)) {
-        Addr dpage = dva & ~off;
-        if (dpage == dvaPage)
-            return false;
-        dvaPage = dpage;
-        if (frames[(dpage - vaBase) / kHostPageBytes] >= 0)
-            return false;
-        Cycles c0 = cycles_;
-        translate(task, dva);
+    // The frame base of @p va's page, faulting an unmapped one in
+    // (@p faulted); a fault that charged cycles ends its step.
+    auto mapPage = [&](Addr va, bool &faulted)
+                       __attribute__((always_inline)) {
+        const Pfn pfn = frames[((va & ~off) - vaBase) / kHostPageBytes];
+        if (pfn >= 0) [[likely]]
+            return static_cast<Addr>(pfn) * kHostPageBytes;
+        faulted = true;
+        const Cycles c0 = cycles_;
+        const Addr base = translate(task, va) & ~off;
         if (cycles_ != c0)
             stop_after = true;
-        return true;
+        return base;
+    };
+
+    // The next data ref, taken exactly: a lookup when it leaves the
+    // data page, a fault if that page is unmapped, and under
+    // DataTraps on a trapped page its probe and delivery (a store at
+    // every storeEvery-th data ref). Returns whether it did anything
+    // observable. Forced inline, or its captured locals would live in
+    // memory for the whole loop.
+    auto dataRef = [&]() __attribute__((always_inline)) {
+        if (dleft == 0)
+            dleft = dstream->nextRun(dcur);
+        const Addr dva = dcur;
+        dcur += kWordBytes;
+        --dleft;
+        ++drained;
+        bool seen = false;
+        const Addr dpage = dva & ~off;
+        if (dpage != dvaPage) {
+            dpaBase = mapPage(dva, seen);
+            dvaPage = dpage;
+            if constexpr (DataTraps) {
+                ++span_ops;
+                dprobe = pageSpanTrapped(data_bits, fshift, dpaBase);
+            }
+        }
+        if constexpr (DataTraps) {
+            if (dprobe) {
+                ++probed;
+                const Addr dpa = dpaBase + (dva & off);
+                const std::uint64_t g = dpa >> fshift;
+                if ((data_bits[g >> 6] >> (g & 63)) & 1) {
+                    const Counter nth =
+                        task.dataRefCount + data_refs + drained;
+                    const AccessKind kind = nth % spec_.storeEvery == 0
+                                                ? AccessKind::Store
+                                                : AccessKind::Load;
+                    if (filter_.wants(kind)) {
+                        const Cycles r =
+                            cl->onRef(task, dva, dpa, masked, kind);
+                        cycles_ += r;
+                        if (r != 0)
+                            stop_after = true;
+                        seen = true;
+                    }
+                }
+            }
+        }
+        return seen;
     };
 
     // Settle what the exit settles — base CPI, instruction and
@@ -464,7 +486,8 @@ System::runChunked(Task &task, Counter h)
         cycles_ += steps * cfg_.cpiBase;
         result_.instr[static_cast<unsigned>(task.component)] += steps;
         task.executed += steps;
-        obsRefsChunked_ += steps + data_refs;
+        (DataTraps ? obsRefsFiltered_ : obsRefsChunked_) +=
+            steps + data_refs;
         obsRunsChunked_ += pieces;
         obsProbeHits_ += probed;
         obsProbeSkips_ += steps + data_refs - probed;
@@ -483,15 +506,11 @@ System::runChunked(Task &task, Counter h)
         const Addr va = fcur;
         const Addr page = va & ~off;
         if (page != ivaPage) [[unlikely]] {
-            Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                ipaBase = static_cast<Addr>(pfn) * kHostPageBytes;
-            } else {
-                Cycles c0 = cycles_;
-                ipaBase = translate(task, va) & ~off;
-                if (cycles_ != c0)
-                    stop_after = true;
-            }
+            bool faulted = false;
+            ipaBase = mapPage(va, faulted);
+            // A fault armed freshly mapped pages.
+            if (faulted)
+                dvaPage = kInvalidAddr;
             ivaPage = page;
             span_ops += fetch_bits != nullptr;
             fprobe = fetch_bits
@@ -522,28 +541,25 @@ System::runChunked(Task &task, Counter h)
                 cycles_ += r;
                 if (r != 0)
                     stop_after = true;
+                // The fetch page is cached as trapped and stays exact;
+                // a data page cached as clear may now hold a trap.
+                if (!dprobe)
+                    dvaPage = kInvalidAddr;
             }
         }
         const Counter credit0 = credit;
         credit += n * dpm;
         if (credit >= 1000) [[unlikely]] {
-            // Drain the owed data refs a data piece at a time: the
-            // rest of a data run on one page. A piece on the page
-            // known to be mapped has no observable side effect, so it
-            // is pointer math. One that enters another page takes a
-            // page-table lookup, and its first ref faults if that
-            // page is not mapped; only a fault cuts the fetch piece
-            // back.
             Counter pending = credit / 1000;
             credit -= pending * 1000;
-            Counter drained = 0;
+            drained = 0;
             while (drained < pending) {
                 if (dleft == 0)
                     dleft = dstream->nextRun(dcur);
-                if (!dataRef(dcur)) [[likely]] {
-                    const Addr dpage = dcur & ~off;
+                if ((dcur & ~off) == dvaPage && !(DataTraps && dprobe))
+                    [[likely]] {
                     Counter k =
-                        (dpage + kHostPageBytes - dcur) / kWordBytes;
+                        (dvaPage + kHostPageBytes - dcur) / kWordBytes;
                     if (k > dleft)
                         k = dleft;
                     if (k > pending - drained)
@@ -553,25 +569,16 @@ System::runChunked(Task &task, Counter h)
                     drained += k;
                     continue;
                 }
-                dcur += kWordBytes;
-                --dleft;
-                ++drained;
-                // The fault is observable, so the steps of the piece
-                // past its owner must not have happened yet. Cut the
-                // piece back to the owning step s, finish that step's
-                // remaining data refs, and re-enter with fresh probe
-                // state.
+                if (!dataRef()) [[likely]]
+                    continue;
+                // Cut the piece back to the owning step s, finish that
+                // step's remaining data refs, and re-enter with fresh
+                // probe state.
                 Counter s = (drained * 1000 - credit0 + dpm - 1)
                             / dpm;
                 Counter total = (credit0 + s * dpm) / 1000;
-                while (drained < total) {
-                    if (dleft == 0)
-                        dleft = dstream->nextRun(dcur);
-                    ++drained;
-                    dataRef(dcur);
-                    dcur += kWordBytes;
-                    --dleft;
-                }
+                while (drained < total)
+                    dataRef();
                 credit = credit0 + s * dpm - total * 1000;
                 n = s;
                 ivaPage = kInvalidAddr;
@@ -582,333 +589,6 @@ System::runChunked(Task &task, Counter h)
         fcur += n * kWordBytes;
         fleft -= n;
         steps += n;
-        left -= n;
-        if (stop_after) [[unlikely]] {
-            stop_after = false;
-            settle();
-            if (!masked)
-                left = std::min(left, clockHorizon());
-        }
-        if (left == 0)
-            break;
-    }
-
-    settle();
-    return settled;
-}
-
-Counter
-System::runFiltered(Task &task, Counter h)
-{
-    // The span loop for a filter that can deliver data refs (Load or
-    // Store in its kind mask), on the horizon and settle-point
-    // contract of runChunked. Data refs need their own probes here,
-    // so both streams are read through the prefetch buffers, which
-    // this loop alone fills (from the run cursors first).
-    //
-    // A fetch or data ref on a mapped page without trap bits has NO
-    // observable side effect, so whole same-page spans of the
-    // prefetch buffers are consumed with one compare per address and
-    // accounted in bulk; per-step credit arithmetic collapses to one
-    // multiply per chunk. Fetches run ahead in a chunk, and the
-    // chunk's data refs drain in their exact order at chunk end.
-    // Refs on trapped pages are tested one at a time, except that
-    // fetches sharing a clear granule share its one test. A data ref
-    // that does something observable mid-chunk (a page FAULT arms
-    // pages and may charge cycles; a delivery runs the handler) must
-    // not see the chunk's later fetches as done: the fetch position
-    // rewinds to the ref's owning step — the over-consumed fetches
-    // were probe-free, so there is nothing to undo but the pointer —
-    // that step's remaining data refs finish exactly, and the loop
-    // resumes (or settles) where the per-step path would.
-    SimClient *const cl = client_;
-    const unsigned fshift = filter_.shift;
-    const std::uint64_t *const fetch_bits =
-        (hasFilter_ && filter_.wants(AccessKind::Fetch))
-            ? filter_.bits
-            : nullptr;
-    const std::uint64_t *const data_bits = filter_.bits;
-    const Addr off = kHostPageBytes - 1;
-    // Two fetches share a trap bit when they agree above this mask:
-    // same granule, and same page (a granule wider than a page spans
-    // frames).
-    const Addr gmask = ~((Addr{1} << fshift) - 1) | ~off;
-    const bool masked = intrMasked_;
-
-    StreamBuf &fb = task.fetchBuf;
-    StreamBuf &db = task.dataBuf;
-    RefStream *const dstream = task.dataStream.get();
-    const Counter dpm = dstream ? dataPerMille_ : 0;
-    Addr *const fstart = fb.buf.data();
-    const Addr *fp = fstart + fb.pos;
-    const Addr *fend = fstart + fb.len;
-    Addr *const dstart = db.buf.data();
-    const Addr *dp = dstart + db.pos;
-    const Addr *dend = dstart + db.len;
-    unsigned fpos0 = fb.pos;
-    Counter consumed_base = 0;
-    const Addr vaBase = task.pageTable.vaBase();
-    const Pfn *const frames = task.pageTable.framesData();
-    Addr ivaPage = kInvalidAddr, ipaBase = 0;
-    Addr dvaPage = kInvalidAddr, dpaBase = 0;
-    bool fprobe = false;
-    // The cached data page carries trap bits: its refs are tested
-    // singly.
-    bool dprobe = false;
-    Counter credit = task.dataRefCredit;
-    Counter data_refs0 = task.dataRefCount;
-
-    Counter data_refs = 0;
-    Counter probed = 0;
-    Counter span_ops = 0;
-    Counter settled = 0;
-    Counter left = h;
-    // The current step charged cycles: it ends at a settle point.
-    bool stop_after = false;
-
-    // One data ref in exact per-step order: its translation, then
-    // its probe and delivery. @p nth is its 1-based
-    // position in the task's data stream (which picks load or
-    // store). Returns whether it did anything observable. Forced
-    // inline: as a call, its captured locals would live in memory
-    // for the whole loop.
-    auto dataRef = [&](Addr dva, Counter nth)
-                       __attribute__((always_inline)) {
-        bool observable = false;
-        Addr dpage = dva & ~off;
-        if (dpage != dvaPage) {
-            Pfn pfn = frames[(dpage - vaBase) / kHostPageBytes];
-            if (pfn >= 0) {
-                dpaBase = static_cast<Addr>(pfn) * kHostPageBytes;
-            } else {
-                Cycles c0 = cycles_;
-                dpaBase = translate(task, dva) & ~off;
-                if (cycles_ != c0)
-                    stop_after = true;
-                observable = true;
-            }
-            dvaPage = dpage;
-            ++span_ops;
-            dprobe = pageSpanTrapped(data_bits, fshift, dpaBase);
-        }
-        if (dprobe) {
-            ++probed;
-            Addr dpa = dpaBase + (dva & off);
-            std::uint64_t g = dpa >> fshift;
-            if ((data_bits[g >> 6] >> (g & 63)) & 1) {
-                AccessKind kind = nth % spec_.storeEvery == 0
-                                      ? AccessKind::Store
-                                      : AccessKind::Load;
-                if (filter_.wants(kind)) {
-                    Cycles r = cl->onRef(task, dva, dpa, masked, kind);
-                    cycles_ += r;
-                    if (r != 0)
-                        stop_after = true;
-                    // The data page is cached as trapped, so it stays
-                    // exact whatever the handler did to its bits; the
-                    // rewind that follows every observable data ref
-                    // drops the fetch page.
-                    observable = true;
-                }
-            }
-        }
-        return observable;
-    };
-
-    // Settle what the exit settles — base CPI, instruction and
-    // data-ref counts, the data-ref credit, the buffer positions and
-    // the obs tallies — and restart the locals from there.
-    auto settle = [&]() __attribute__((always_inline)) {
-        const Counter done = consumed_base
-                             + static_cast<Counter>(fp - fstart) - fpos0;
-        fb.pos = static_cast<unsigned>(fp - fstart);
-        db.pos = static_cast<unsigned>(dp - dstart);
-        task.dataRefCredit = credit;
-        task.dataRefCount += data_refs;
-        result_.dataRefs += data_refs;
-        cycles_ += done * cfg_.cpiBase;
-        result_.instr[static_cast<unsigned>(task.component)] += done;
-        task.executed += done;
-        obsRefsFiltered_ += done + data_refs;
-        obsProbeHits_ += probed;
-        obsProbeSkips_ += done + data_refs - probed;
-        (simdWide_ ? obsSimdWide_ : obsSimdScalar_) += span_ops;
-        settled += done;
-        consumed_base = 0;
-        fpos0 = fb.pos;
-        data_refs0 = task.dataRefCount;
-        data_refs = 0;
-        probed = 0;
-        span_ops = 0;
-    };
-
-    for (;;) {
-        if (fp == fend) [[unlikely]] {
-            consumed_base += static_cast<Counter>(fp - fstart);
-            fb.fill(task.fetchRun, *task.stream);
-            fp = fstart;
-            fend = fstart + fb.len;
-        }
-        Addr va = *fp;
-        Addr page = va & ~off;
-        if (page != ivaPage) [[unlikely]] {
-            Pfn pfn = frames[(page - vaBase) / kHostPageBytes];
-            if (pfn >= 0) [[likely]] {
-                ipaBase = static_cast<Addr>(pfn) * kHostPageBytes;
-            } else {
-                Cycles c0 = cycles_;
-                ipaBase = translate(task, va) & ~off;
-                if (cycles_ != c0)
-                    stop_after = true;
-                // The fault armed freshly mapped pages.
-                dvaPage = kInvalidAddr;
-            }
-            ivaPage = page;
-            span_ops += fetch_bits != nullptr;
-            fprobe = fetch_bits
-                     && pageSpanTrapped(fetch_bits, fshift, ipaBase);
-        }
-        const Addr *const fp0 = fp;
-        const Counter credit0 = credit;
-        // A step run may not pass the buffer end, the horizon, or a
-        // pending fetch-fault charge, which limits it to its own step.
-        Counter m = static_cast<Counter>(fend - fp);
-        if (m > left)
-            m = left;
-        if (stop_after) [[unlikely]]
-            m = 1;
-        const Addr *const qe = fp + m;
-        Counter n;
-        if (fprobe) [[unlikely]] {
-            // Trap bits on this page: an exact step.
-            ++probed;
-            Addr pa = ipaBase + (va & off);
-            std::uint64_t g = pa >> fshift;
-            if ((fetch_bits[g >> 6] >> (g & 63)) & 1) [[unlikely]] {
-                ++fp;
-                n = 1;
-                Cycles r = cl->onRef(task, va, pa, masked,
-                                     AccessKind::Fetch);
-                cycles_ += r;
-                if (r != 0)
-                    stop_after = true;
-                // The fetch page is cached as trapped and stays exact;
-                // a data page cached as clear may now hold a trap.
-                if (!dprobe)
-                    dvaPage = kInvalidAddr;
-            } else {
-                // A clear granule: the fetches right after this one
-                // in it share its bit, so they take the same step
-                // run. A data ref of theirs that traps the granule
-                // again rewinds to its owning step like any other.
-                const Addr *q = fp + 1;
-                while (q != qe && ((*q ^ va) & gmask) == 0)
-                    ++q;
-                n = static_cast<Counter>(q - fp);
-                fp = q;
-            }
-        } else {
-            // Probe-free page: consume the same-page span with one
-            // wide scan, bounded like any step run — then keep
-            // extending across page boundaries as long as the next
-            // page is already MAPPED and also probe-free. A fetch
-            // there has no observable side effect either, so whole
-            // clear regions collapse into one bulk-accounted chunk
-            // instead of page steps. An unmapped or trapped page ends
-            // the merge: its fault/probe must happen in exact legacy
-            // order, which the top of the loop provides. (A
-            // mid-drain data event still rewinds to its owning step
-            // and invalidates the page cache, so merged spans undo
-            // just like single-page ones.)
-            const Addr *q = fp + 1;
-            ++span_ops;
-            q += simd::samePageSpan(q, qe, ~off, page);
-            while (q != qe) {
-                Addr npage = *q & ~off;
-                Pfn pfn = frames[(npage - vaBase) / kHostPageBytes];
-                if (pfn < 0) [[unlikely]]
-                    break;
-                Addr npaBase =
-                    static_cast<Addr>(pfn) * kHostPageBytes;
-                if (fetch_bits) {
-                    ++span_ops;
-                    if (pageSpanTrapped(fetch_bits, fshift, npaBase))
-                        break;
-                }
-                // Adopt the clear page as the cached one and extend.
-                page = npage;
-                ivaPage = npage;
-                ipaBase = npaBase;
-                ++q;
-                ++span_ops;
-                q += simd::samePageSpan(q, qe, ~off, page);
-            }
-            n = static_cast<Counter>(q - fp);
-            fp = q;
-        }
-        credit += n * dpm;
-        if (credit >= 1000) [[unlikely]] {
-            // Drain the owed data refs in same-page spans: a ref on
-            // the cached page, mapped and without trap bits, has no
-            // observable side effect, so a whole run of them is one
-            // wide scan plus pointer math. Page transitions and refs
-            // on trapped pages are handled singly, and only one that
-            // does something observable rewinds the fetch pointer.
-            Counter pending = credit / 1000;
-            credit -= pending * 1000;
-            Counter drained = 0;
-            while (drained < pending) {
-                if (dp == dend) [[unlikely]] {
-                    db.fill(task.dataRun, *dstream);
-                    dp = dstart;
-                    dend = dstart + db.len;
-                }
-                Addr dva = *dp;
-                if ((dva & ~off) == dvaPage && !dprobe) [[likely]] {
-                    Counter avail = pending - drained;
-                    if (avail > static_cast<Counter>(dend - dp))
-                        avail = static_cast<Counter>(dend - dp);
-                    ++span_ops;
-                    Counter k = 1
-                                + static_cast<Counter>(
-                                    simd::samePageSpan(
-                                        dp + 1, dp + avail, ~off,
-                                        dvaPage));
-                    dp += k;
-                    drained += k;
-                    continue;
-                }
-                // A page transition (a fault if unmapped), or a ref
-                // on a trapped page.
-                ++dp;
-                ++drained;
-                if (!dataRef(dva, data_refs0 + data_refs + drained))
-                    continue;
-                // The event is observable, so the steps bulk-executed
-                // past its owner must not have happened yet. Rewind
-                // the fetch pointer to the owning step s, finish that
-                // step's remaining data refs, and re-enter with fresh
-                // probe state.
-                Counter s = (drained * 1000 - credit0 + dpm - 1)
-                            / dpm;
-                Counter total = (credit0 + s * dpm) / 1000;
-                while (drained < total) {
-                    if (dp == dend) [[unlikely]] {
-                        db.fill(task.dataRun, *dstream);
-                        dp = dstart;
-                        dend = dstart + db.len;
-                    }
-                    ++drained;
-                    dataRef(*dp++, data_refs0 + data_refs + drained);
-                }
-                fp = fp0 + s;
-                credit = credit0 + s * dpm - total * 1000;
-                n = s;
-                ivaPage = kInvalidAddr;
-                break;
-            }
-            data_refs += drained;
-        }
         left -= n;
         if (stop_after) [[unlikely]] {
             stop_after = false;

@@ -199,8 +199,9 @@ class System
     void stepFast(Task &task);
     void dataStepFast(Task &task);
     Counter runBatch(Task &task, Counter h);
-    Counter runChunked(Task &task, Counter h);
-    Counter runFiltered(Task &task, Counter h);
+    /** The span loop (DataTraps: the filter delivers data refs). */
+    template <bool DataTraps>
+    Counter runSpans(Task &task, Counter h);
     Counter runObserved(Task &task, Counter h);
     Counter clockHorizon() const;
     void runSliceFast(Task &task);
@@ -243,7 +244,8 @@ class System
     TrapFilterView filter_{};
     bool hasFilter_ = false;
     /** The filter can deliver data references (Load or Store in its
-     *  kind mask): runBatch takes runFiltered, else runChunked. */
+     *  kind mask): runBatch takes runSpans<true>, else
+     *  runSpans<false>. */
     bool dataTraps_ = false;
     /** Translation cache for the clock handler's references, which
      *  would otherwise thrash the kernel task's fetch entry. */
@@ -253,18 +255,21 @@ class System
     // locals at loop exit and flushed into the obs registry once at
     // the end of run() — the reference hot paths never touch shared
     // state for these.
+    /** Refs of runSpans<false> (engine.refs.chunked) and of
+     *  runSpans<true> (engine.refs.filtered). */
     Counter obsRefsChunked_ = 0;
-    /** Run pieces runChunked took (engine.runs.chunked). */
-    Counter obsRunsChunked_ = 0;
     Counter obsRefsFiltered_ = 0;
+    /** Fetch pieces runSpans took, both instantiations
+     *  (engine.runs.chunked). */
+    Counter obsRunsChunked_ = 0;
     Counter obsRefsObserved_ = 0;
     Counter obsProbeHits_ = 0;
     Counter obsProbeSkips_ = 0;
     Counter obsUtlbHits_ = 0;
     Counter obsUtlbMisses_ = 0;
-    /** Bitmap/span scans served by a wide implementation vs the
-     *  scalar fallback (simd::setEnabled(false) or an unsupporting
-     *  host). */
+    /** Page-span trap scans served by a wide implementation vs
+     *  the scalar fallback (simd::setEnabled(false) or an
+     *  unsupporting host). */
     Counter obsSimdWide_ = 0;
     Counter obsSimdScalar_ = 0;
 

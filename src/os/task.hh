@@ -31,9 +31,6 @@
 namespace tw
 {
 
-/** Batch size of the per-task stream prefetch buffers. */
-constexpr unsigned kStreamBatch = 256;
-
 /**
  * The rest of a sequential run taken from a RefStream (nextRun): the
  * next address and the words left in the run. The stream is already
@@ -56,38 +53,6 @@ struct RunCursor
         Addr a = cur;
         cur += kWordBytes;
         return a;
-    }
-};
-
-/**
- * A small prefetch window over a RefStream, for the loop that needs
- * addresses written out (the data-delivering span loop). Streams are
- * private to their task and deterministic, so pulling addresses a
- * batch at a time changes nothing observable — the machine still
- * consumes them strictly in order: a buffer's addresses come before
- * its cursor's, which come before the stream's.
- */
-struct StreamBuf
-{
-    std::array<Addr, kStreamBatch> buf;
-    unsigned pos = 0;
-    unsigned len = 0;
-
-    bool empty() const { return pos == len; }
-    Addr take() { return buf[pos++]; }
-
-    /** Refill an empty buffer: the rest of @p run first, then the
-     *  stream's next addresses. */
-    void
-    fill(RunCursor &run, RefStream &s)
-    {
-        unsigned k = 0;
-        for (; k < kStreamBatch && run.left != 0; ++k)
-            buf[k] = run.take(s);
-        if (k < kStreamBatch)
-            s.nextBatch(buf.data() + k, kStreamBatch - k);
-        pos = 0;
-        len = kStreamBatch;
     }
 };
 
@@ -212,31 +177,12 @@ class Task
     /** Task has exited and its address space was torn down. */
     bool exited = false;
 
-    /** Run cursors and prefetch windows over the fetch and data
-     *  streams (fast-path machinery; the slow path calls the streams
-     *  directly). Only the data-delivering span loop fills a buffer,
-     *  from the cursor; every consumer takes from a buffer while it
-     *  holds addresses, then from the cursor. */
+    /** Run cursors over the fetch and data streams (fast-path
+     *  machinery; the slow path calls the streams directly). The
+     *  span loop takes runs from them a piece at a time, and the
+     *  per-step path one address at a time (RunCursor::take). */
     RunCursor fetchRun;
     RunCursor dataRun;
-    StreamBuf fetchBuf;
-    StreamBuf dataBuf;
-
-    /** The next fetch address of the fast path. */
-    Addr
-    nextFetch()
-    {
-        return fetchBuf.empty() ? fetchRun.take(*stream)
-                                : fetchBuf.take();
-    }
-
-    /** The next data address of the fast path. */
-    Addr
-    nextData()
-    {
-        return dataBuf.empty() ? dataRun.take(*dataStream)
-                               : dataBuf.take();
-    }
 
     /** Last-page translation caches, one per stream so text and
      *  data references don't thrash a single entry. */

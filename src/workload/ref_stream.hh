@@ -33,8 +33,8 @@ namespace tw
  * A stream is read one address (next), a batch of addresses
  * (nextBatch) or a sequential run (nextRun) at a time, in any mix:
  * each call continues where the last one left off. The engine's
- * fetch-only loop reads runs, so its cost follows the stream's runs
- * rather than its addresses.
+ * span loop reads both of a task's streams by runs, so its cost
+ * follows the streams' runs rather than their addresses.
  */
 class RefStream
 {

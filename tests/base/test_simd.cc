@@ -1,7 +1,7 @@
 /**
  * @file
- * The wide-scan contract: every SIMD implementation of the two
- * trap-filter primitives computes the EXACT scalar answer on every
+ * The wide-scan contract: every SIMD implementation of the
+ * trap-filter primitive computes the EXACT scalar answer on every
  * range — including the unaligned heads, masked tails and
  * block-boundary straddles that make vector code subtly wrong.
  *
@@ -51,15 +51,6 @@ naiveAnyBits(const std::vector<std::uint64_t> &words,
     for (std::uint64_t w = first; w <= last; ++w)
         acc |= words[w];
     return acc != 0;
-}
-
-std::size_t
-naiveSpan(const Addr *p, const Addr *end, Addr page_mask, Addr page)
-{
-    std::size_t n = 0;
-    while (p + n != end && ((p[n] & page_mask) == page))
-        ++n;
-    return n;
 }
 
 TEST(Simd, LevelNamesAndDispatchState)
@@ -130,55 +121,6 @@ TEST(Simd, AnyBitsMatchesScalarOnRandomBitmaps)
         }
         delete off;
         off = nullptr;
-    }
-}
-
-TEST(Simd, SamePageSpanExactOnEveryLengthAndBreak)
-{
-    // For every buffer length 0..33 (crossing the 4- and 8-lane
-    // block boundaries) and every break position, the counted span
-    // must stop exactly at the first off-page entry.
-    constexpr Addr kPageMask = ~Addr{4095};
-    constexpr Addr kPage = 0x7000;
-    for (std::size_t len = 0; len <= 33; ++len) {
-        for (std::size_t brk = 0; brk <= len; ++brk) {
-            std::vector<Addr> buf(len);
-            for (std::size_t i = 0; i < len; ++i) {
-                buf[i] = i < brk ? kPage + (i * 64) % 4096
-                                 : kPage + 0x2000 + (i * 64) % 4096;
-            }
-            std::size_t got = simd::samePageSpan(
-                buf.data(), buf.data() + len, kPageMask, kPage);
-            EXPECT_EQ(got, brk) << "len " << len << " break " << brk;
-        }
-    }
-}
-
-TEST(Simd, SamePageSpanMatchesScalarOnRandomBuffers)
-{
-    Rng rng(0x9e3779b9u);
-    for (int iter = 0; iter < 400; ++iter) {
-        std::size_t n = rng.below(70);
-        std::vector<Addr> buf(n);
-        Addr page = (rng.next() & 0xffff000) & ~Addr{4095};
-        for (auto &a : buf) {
-            // ~7/8 on-page so spans of interesting length form.
-            Addr p = rng.below(8) == 0
-                         ? page + 4096 * (1 + rng.below(4))
-                         : page;
-            a = p + rng.below(4096);
-        }
-        std::size_t wide = simd::samePageSpan(
-            buf.data(), buf.data() + n, ~Addr{4095}, page);
-        std::size_t naive = naiveSpan(buf.data(), buf.data() + n,
-                                      ~Addr{4095}, page);
-        EXPECT_EQ(wide, naive);
-        {
-            ScopedNoSimd off;
-            EXPECT_EQ(simd::samePageSpan(buf.data(), buf.data() + n,
-                                         ~Addr{4095}, page),
-                      naive);
-        }
     }
 }
 
