@@ -455,6 +455,33 @@ class StreamCheck
     const WorkloadSpec &w_;
 };
 
+/**
+ * Why a task cannot hold the text @p t (member @p tk, or element
+ * @p i of it when @p i >= 0) and the data segment @p d (@p dk) in
+ * one address-space window, "" when it can: Task asserts that the
+ * data starts at or past the text's end.
+ */
+std::string
+windowError(const char *tk, const StreamParams &t, const char *dk,
+            const StreamParams &d, long i = -1)
+{
+    auto key = [i](const char *k) {
+        return i < 0 ? std::string(k) : csprintf("%s[%ld]", k, i);
+    };
+    const std::uint64_t top = ~std::uint64_t{0};
+    if (t.textBytes > top - t.base || d.textBytes > top - d.base)
+        return csprintf("'%s' ends past the last address",
+                        key(t.textBytes > top - t.base ? tk : dk).c_str());
+    if (d.base < t.base + t.textBytes)
+        return csprintf("'%s' base %llu lies below the end of '%s' "
+                        "(%llu)", key(dk).c_str(),
+                        static_cast<unsigned long long>(d.base),
+                        key(tk).c_str(),
+                        static_cast<unsigned long long>(t.base
+                                                        + t.textBytes));
+    return {};
+}
+
 std::string
 afterRead(WorkloadSpec &w)
 {
@@ -470,7 +497,23 @@ afterRead(WorkloadSpec &w)
         return "'storeEvery' must be >= 1";
     StreamCheck streams(w);
     members(streams, w);
-    return streams.why;
+    std::string why = streams.why;
+    if (w.dataRefsPer1k <= 0.0)
+        return why;
+    // Each data segment System builds a stream from, beside its text.
+    for (std::size_t i = 0; why.empty() && i < w.binaries.size()
+                            && i < w.binaryData.size();
+         ++i)
+        why = windowError("binaries", w.binaries[i], "binaryData",
+                          w.binaryData[i], static_cast<long>(i));
+    if (why.empty())
+        why = windowError("kernelText", w.kernelText, "kernelData",
+                          w.kernelData);
+    if (why.empty())
+        why = windowError("bsdText", w.bsdText, "bsdData", w.bsdData);
+    if (why.empty())
+        why = windowError("xText", w.xText, "xData", w.xData);
+    return why;
 }
 
 std::string
@@ -557,6 +600,33 @@ afterRead(TapewormConfig &t)
                         "granule to the host page)",
                         t.cache.lineBytes, kTrapGranuleBytes,
                         kHostPageBytes);
+    return {};
+}
+
+std::string
+afterRead(RunSpec &s)
+{
+    // TapewormTlb asserts that it is a virtually indexed, task-tagged
+    // cache of whole host pages, and that every frame it traps lies
+    // in its filter bitmap, which the span loop's page scans index by
+    // frame, unpadded. A zero filterFrames sizes the bitmap from the
+    // machine.
+    if (s.sim != SimKind::TapewormTlbSim)
+        return {};
+    if (s.tlb.tlb.indexing != Indexing::Virtual
+        || !s.tlb.tlb.tagIncludesTask)
+        return "'tlb.tlb' must be virtually indexed and tagged by task";
+    const std::uint32_t line = s.tlb.tlb.lineBytes;
+    if (line == 0 || line % kHostPageBytes != 0)
+        return csprintf("'tlb.tlb.lineBytes' %u is not a nonzero "
+                        "multiple of the %u-byte host page",
+                        line, kHostPageBytes);
+    const unsigned long long frames = s.sys.physMemBytes / kHostPageBytes;
+    if (s.tlb.filterFrames != 0 && s.tlb.filterFrames < frames)
+        return csprintf("'tlb.filterFrames' %llu is below the %llu "
+                        "frames of 'sys.physMemBytes'",
+                        static_cast<unsigned long long>(
+                            s.tlb.filterFrames), frames);
     return {};
 }
 

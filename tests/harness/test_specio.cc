@@ -86,6 +86,16 @@ twDram(const char *key, Json value)
                      std::move(value));
 }
 
+/** The sample spec's "workload" member after @p edit. */
+template <typename F>
+Json
+workloadWith(F edit)
+{
+    RunSpec spec = sampleSpec();
+    edit(spec.workload);
+    return *specToJson(spec).find("workload");
+}
+
 /** A spec with every enum off its default and odd values in the
  *  corners the canonical form must carry exactly. */
 RunSpec
@@ -359,6 +369,7 @@ TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
         const char *path;
         Json value;
         const char *needle; //!< expected in the error
+        SimKind sim = SimKind::Tapeworm;
     };
     const Case kCases[] = {
         {"workload.storeEvery", Json::number(0u), "storeEvery"},
@@ -384,6 +395,40 @@ TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
         {"sys.physMemBytes", Json::number(std::uint64_t{64 * 4096}),
          "'physMemBytes' 262144 leaves no frame past 'reservedFrames'"},
         {"workload.binaries", Json::array(), "binaries"},
+        // A data segment that does not follow its text: the task's
+        // address-space window asserts on it.
+        {"workload",
+         workloadWith([](WorkloadSpec &w) { w.binaryData[0].base = 0; }),
+         "'binaryData[0]' base 0 lies below the end of 'binaries[0]'"},
+        {"workload",
+         workloadWith([](WorkloadSpec &w) {
+             w.binaries[0].base = std::uint64_t{1} << 32;
+         }),
+         "lies below the end of 'binaries[0]' (4295000064)"},
+        {"workload",
+         workloadWith([](WorkloadSpec &w) {
+             w.binaries[0].textBytes = std::uint64_t{1} << 32;
+         }),
+         "lies below the end of 'binaries[0]'"},
+        {"workload",
+         workloadWith([](WorkloadSpec &w) {
+             w.kernelText.base = ~std::uint64_t{4095};
+         }),
+         "'kernelText' ends past the last address"},
+        // TLB shapes that abort building or running the TapewormTlb:
+        // a simulated page that is not whole host pages, a filter
+        // bitmap short of the machine's 4096 frames, and a TLB that is
+        // not virtually indexed.
+        {"tlb.tlb.lineBytes", Json::number(1u),
+         "'tlb.tlb.lineBytes' 1 is not a nonzero multiple of the "
+         "4096-byte host page",
+         SimKind::TapewormTlbSim},
+        {"tlb.filterFrames", Json::number(3u),
+         "'tlb.filterFrames' 3 is below the 4096 frames",
+         SimKind::TapewormTlbSim},
+        {"tlb.tlb.indexing", Json::str("physical"),
+         "'tlb.tlb' must be virtually indexed and tagged by task",
+         SimKind::TapewormTlbSim},
         {"workload.taskCount", Json::number(0u), "taskCount"},
         // Integers outside the field's type are refused, not
         // narrowed (2^32 + 1 would read as 1, 2^32 + 2 as 2).
@@ -446,7 +491,9 @@ TEST(SpecIo, StrictParseRejectsZeroStoreEveryAndQuantum)
          "channels x ranks x banks does not fit 32 bits"},
     };
     for (const Case &c : kCases) {
-        Json j = withField(specToJson(sampleSpec()), c.path, c.value);
+        RunSpec base = sampleSpec();
+        base.sim = c.sim;
+        Json j = withField(specToJson(base), c.path, c.value);
         RunSpec out;
         std::string err;
         EXPECT_FALSE(specFromJson(j, out, err)) << c.path;
@@ -490,6 +537,13 @@ TEST(SpecIo, RunnableMemorySizesParse)
         EXPECT_TRUE(parseRunSpec(formatRunSpec(spec), back, err))
             << bytes << ": " << err;
     }
+    // A data segment may start exactly where its text ends.
+    RunSpec spec = sampleSpec();
+    StreamParams &text = spec.workload.binaries[0];
+    spec.workload.binaryData[0].base = text.base + text.textBytes;
+    RunSpec back;
+    std::string err;
+    EXPECT_TRUE(parseRunSpec(formatRunSpec(spec), back, err)) << err;
 }
 
 TEST(SpecIo, CacheKeyNormalizesTrialSeed)

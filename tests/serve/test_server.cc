@@ -355,10 +355,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     // rest fatal() or abort building the cache, a stream or the
     // System. Any would take the whole daemon (or one worker) with
     // it.
-    auto changed = [](const char *path, Json value,
-                      unsigned cache_bytes = 2048) {
-        Json spec = withField(specToJson(smallSpec(cache_bytes)), path,
-                              std::move(value));
+    auto submitSpec = [](const Json &spec) {
         Json req = Json::object();
         req.set("id", Json::number(6u));
         req.set("op", Json::str("submit"));
@@ -367,6 +364,11 @@ TEST(Server, MalformedRequestGetsBadRequest)
         seeds.push(Json::number(1u));
         req.set("seeds", std::move(seeds));
         return req.dump();
+    };
+    auto changed = [&](const char *path, Json value,
+                       unsigned cache_bytes = 2048) {
+        return submitSpec(withField(specToJson(smallSpec(cache_bytes)),
+                                    path, std::move(value)));
     };
     expectError(changed("workload.storeEvery", Json::number(0u)));
     expectError(changed("sys.quantumInstr", Json::number(0u)));
@@ -390,6 +392,25 @@ TEST(Server, MalformedRequestGetsBadRequest)
     expectError(changed("sys.physMemBytes",
                         Json::number(std::uint64_t{64 * 4096})));
     expectError(changed("workload.binaries", Json::array()));
+    // A data segment that does not follow its text aborts building
+    // the task.
+    RunSpec overlap = smallSpec();
+    overlap.workload.binaryData[0].base = 0;
+    expectError(submitSpec(specToJson(overlap)));
+    overlap = smallSpec();
+    overlap.workload.binaries[0].base = std::uint64_t{1} << 32;
+    expectError(submitSpec(specToJson(overlap)));
+    overlap = smallSpec();
+    overlap.workload.binaries[0].textBytes = std::uint64_t{1} << 32;
+    expectError(submitSpec(specToJson(overlap)));
+    // A TLB page finer than a host page, or a filter bitmap short of
+    // the machine's frames, aborts the TapewormTlb.
+    RunSpec tlb = smallSpec();
+    tlb.sim = SimKind::TapewormTlbSim;
+    expectError(submitSpec(
+        withField(specToJson(tlb), "tlb.tlb.lineBytes", Json::number(1u))));
+    expectError(submitSpec(
+        withField(specToJson(tlb), "tlb.filterFrames", Json::number(3u))));
     expectError(changed("workload.taskCount", Json::number(0u)));
     // An integer outside its field's type must not narrow into a
     // runnable value (2^32 + 1 tasks would read as one).
@@ -460,7 +481,7 @@ TEST(Server, MalformedRequestGetsBadRequest)
     EXPECT_EQ(pong.find("ev")->asString(), "pong");
     ::close(fd);
     server.stop();
-    EXPECT_EQ(server.metrics().badRequests.value(), 43u);
+    EXPECT_EQ(server.metrics().badRequests.value(), 48u);
     EXPECT_EQ(server.metrics().rowsComputed.value(), 0u);
 }
 
