@@ -22,20 +22,20 @@ TW_THREADS=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_THREADS=4 ctest --test-dir build --output-on-failure -j"$(nproc)"
 TW_NO_SIMD=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# AddressSanitizer pass over the engine: the data-delivering loop
-# consumes the prefetch buffers by pointer and rewinds the fetch
-# pointer when a data ref faults or is delivered mid-chunk, the
-# fetch-only loop cuts a run piece back the same way and scans only
-# the trap-bitmap words a piece covers, and the integration suite
-# (FastPath included), the OS model and the simulator core drive
-# every such path. The workload suite walks every suite stream's
-# runs against its address batches. The serve and shard suites ride
-# along: the wire codec, the line readers and the router's
-# nonblocking buffers are parsing and buffer code fed straight from
-# sockets. So does the
-# spec reader, which parses request bytes straight off a socket: the
-# spec suites, the seeded mutation of canonical text and the
-# registry-wide round trip run under both sanitizers.
+# AddressSanitizer pass over the engine: the span loop indexes the
+# page table and the trap bitmaps by page and granule, scans only the
+# bitmap words a run piece covers (TapewormTlb's bitmap is unpadded),
+# and cuts a piece back when a data ref faults or is delivered, in
+# both its fetch-only and data-delivering instantiations; the
+# integration suite (FastPath included), the OS model and the
+# simulator core drive every such path. The workload suite walks
+# every suite stream's runs against its address batches. The serve
+# and shard suites ride along: the wire codec, the line readers and
+# the router's nonblocking buffers are parsing and buffer code fed
+# straight from sockets. So does the spec reader, which parses
+# request bytes straight off a socket: the spec suites, the seeded
+# mutation of canonical text and the registry-wide round trip run
+# under both sanitizers.
 SPEC_SUITES='SpecIo.*:SpecMutation.*:ExperimentRegistry.*'
 cmake -B build-asan -G Ninja -DTW_SANITIZE=address
 cmake --build build-asan --target test_integration test_os test_core \
@@ -73,8 +73,11 @@ cmake --build build-ubsan --target test_integration test_os test_core \
 # ThreadSanitizer pass over the concurrency-bearing suites, so the
 # Runner baseline-memo race stays fixed. Death tests fork, which
 # TSan dislikes; the parallel/threading suites are what matter here.
-# The fast-path equivalence suite rides along: its buffered
-# streams/filters must stay data-race-free under parallel trials.
+# The fast-path equivalence suite rides along: each trial runs the
+# span loop, flushes its engine counters into the process-wide obs
+# registry and, forced scalar, flips the process-wide SIMD dispatch;
+# none of it may race with the registry's or the dispatch's other
+# users.
 cmake -B build-tsan -G Ninja -DTW_SANITIZE=thread
 cmake --build build-tsan --target test_harness test_base \
     test_integration test_serve test_obs test_shard test_core
