@@ -92,10 +92,20 @@ class LoopNestStream : public RefStream
     const StreamParams &params() const { return params_; }
 
   private:
-    struct LevelState
+    /** One ladder level: its sweep and where it stands. */
+    struct Level
     {
-        Addr chunkBase = 0;   //!< start of current child chunk
-        double repsLeft = 0;  //!< repetitions left for current chunk
+        Addr chunkBase = 0;         //!< start of current child chunk
+        std::uint64_t span = 0;     //!< bytes one chunk spans
+        /** Sweeps of the current chunk left, this one included. */
+        std::uint64_t repsLeft = 0;
+        /** Integer floor of meanReps, clamped to 2^62: no run
+         *  finishes that many sweeps of one chunk. */
+        std::uint64_t repFloor = 0;
+        /** The fractional part's draw as a threshold (see
+         *  loop_nest.cc): one more sweep on a draw below it, and no
+         *  draw at a zero fraction. */
+        std::uint64_t repDrawAt = 0;
     };
 
     void restart();
@@ -103,13 +113,12 @@ class LoopNestStream : public RefStream
     void advance();
     void advanceSlow();
     void maybeExcursion();
-    double drawReps(std::size_t level);
+    std::uint64_t drawReps(const Level &lvl);
 
     StreamParams params_;
     Rng rng_;
-    /** Precomputed floor/frac of each ladder level's meanReps. */
-    std::vector<double> repFloor_;
-    std::vector<double> repFrac_;
+    Addr textEnd_ = 0;               //!< params_.base + textBytes
+    std::uint64_t excursionAt_ = 0;  //!< excursionProb's threshold
 
     // Hot-path state: the current sequential run. next(),
     // nextBatch() and nextRun() all walk it and call endRun() when
@@ -123,7 +132,7 @@ class LoopNestStream : public RefStream
     Addr resumeCur_ = 0;
     Addr resumeEnd_ = 0;
 
-    std::vector<LevelState> levels_; //!< index 0 = innermost
+    std::vector<Level> levels_; //!< index 0 = innermost
 };
 
 } // namespace tw
