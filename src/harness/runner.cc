@@ -252,8 +252,12 @@ Runner::runOne(const RunSpec &spec, std::uint64_t trial_seed)
       }
       case SimKind::TapewormTlbSim: {
         TapewormTlbConfig cfg = spec.tlb;
-        if (cfg.filterFrames == 0)
-            cfg.filterFrames = system.physMem().numFrames();
+        // The filter keeps a refcount per frame. No frame above the
+        // machine's can be trapped, so a larger filter only costs
+        // memory: a far larger one would not allocate at all.
+        const std::uint64_t frames = system.physMem().numFrames();
+        if (cfg.filterFrames == 0 || cfg.filterFrames > frames)
+            cfg.filterFrames = frames;
         TapewormTlb tlb(cfg);
         system.setClient(&tlb);
         out.run = system.run();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "harness/specio.hh"
 #include "harness/trials.hh"
 
 namespace tw
@@ -71,6 +72,21 @@ TEST(Runner, OracleAgreesWithUnsampledTapeworm)
     spec.sim = SimKind::Oracle;
     RunOutcome oracle = Runner::runOne(spec, 3);
     EXPECT_DOUBLE_EQ(trap.estMisses, oracle.estMisses);
+}
+
+TEST(Runner, TlbFilterAboveMachineFramesRuns)
+{
+    // The spec reader keeps a filterFrames far above the machine's
+    // frames parseable; the runner sizes the filter by the machine,
+    // since no higher frame can be trapped, so such a spec runs and
+    // gives the outcome of the default (0, the machine's frames).
+    RunSpec spec = tapewormSpec();
+    spec.sim = SimKind::TapewormTlbSim;
+    RunOutcome dflt = Runner::runOne(spec, 2);
+    spec.tlb.filterFrames = 12345678901234567ull;
+    RunOutcome big = Runner::runOne(spec, 2);
+    EXPECT_GT(big.rawMisses, 0.0);
+    EXPECT_EQ(outcomeToJson(big).dump(), outcomeToJson(dflt).dump());
 }
 
 TEST(Runner, TraceDrivenRuns)
